@@ -1,9 +1,10 @@
-"""Hot loops over int64 bitmask rows.
+"""Canonical search and exhaustive sweeps over int bitmask rows.
 
-Every kernel is written in the numpy subset numba compiles.  When numba
-is importable and SEIDELKIT_NO_JIT is unset, each function is wrapped in
-@njit(cache=True, nogil=True); otherwise the same code runs as plain
-Python over numpy arrays, so both modes share one audited body.
+A graph of order n is a sequence of n Python ints in the layout of
+Graph.adj: bit j of rows[i] is set when {i, j} is an edge.  Every kernel
+is plain Python over those ints; the per-code scans return int64 numpy
+arrays.  Helpers carry a leading underscore, so the unprefixed functions
+are the only entry points.
 
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over all discrete
@@ -11,336 +12,170 @@ refinements.  A leaf is a labeling; its code is the relabeled
 upper-triangle bit string, column-major, packed big-endian into two
 63-bit words so that integer order equals string order.  The canonical
 form is the minimum leaf code.  Leaves that tie the minimum are exactly
-the automorphisms, which the search counts, optionally stores, and folds
+the automorphisms, which the search counts, optionally keeps, and folds
 into a vertex orbit union-find.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    NUMBA_AVAILABLE = False
-
-JIT_FLAG = "SEIDELKIT_NO_JIT"
-JIT_ENABLED = NUMBA_AVAILABLE and os.environ.get(JIT_FLAG, "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
+_WORD = (1 << 63) - 1
 
 
-def _jit(fn):
-    if JIT_ENABLED:
-        return _njit(cache=True, nogil=True)(fn)
-    return fn
+def _find(parent, x):
+    # union-find root with path halving; unions always hang the larger
+    # root under the smaller, so every root is its component's minimum
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
-@_jit
-def _popcount(x):
-    c = 0
-    while x:
-        x &= x - 1
-        c += 1
-    return c
+def _union(parent, a, b):
+    a, b = _find(parent, a), _find(parent, b)
+    if a != b:
+        parent[max(a, b)] = min(a, b)
 
 
-@_jit
-def _sig_gt(sig, a, b, ncells):
-    # lexicographic compare of two signature rows
-    for c in range(ncells):
-        if sig[a, c] != sig[b, c]:
-            return sig[a, c] > sig[b, c]
-    return False
-
-
-@_jit
-def _refine(rows, n, lab, ptn, cellmask, sig):
+def _refine(rows, cells):
     # Split every cell by neighbor counts against a snapshot of the
-    # current cells, subcells ordered by signature, until stable.
-    while True:
-        ncells = 0
-        i = 0
-        while i < n:
-            m = np.int64(0)
-            j = i
-            while True:
-                m |= np.int64(1) << lab[j]
-                if ptn[j] == 0:
-                    break
-                j += 1
-            cellmask[ncells] = m
-            ncells += 1
-            i = j + 1
-        if ncells == n:
-            return
-        changed = False
-        i = 0
-        while i < n:
-            j = i
-            while ptn[j] == 1:
-                j += 1
-            if j > i:
-                for p in range(i, j + 1):
-                    rv = rows[lab[p]]
-                    for c in range(ncells):
-                        sig[p, c] = _popcount(rv & cellmask[c])
-                for p in range(i + 1, j + 1):
-                    q = p
-                    while q > i and _sig_gt(sig, q - 1, q, ncells):
-                        tl = lab[q - 1]
-                        lab[q - 1] = lab[q]
-                        lab[q] = tl
-                        for c in range(ncells):
-                            ts = sig[q - 1, c]
-                            sig[q - 1, c] = sig[q, c]
-                            sig[q, c] = ts
-                        q -= 1
-                for p in range(i, j):
-                    for c in range(ncells):
-                        if sig[p, c] != sig[p + 1, c]:
-                            ptn[p] = 0
-                            changed = True
-                            break
-            i = j + 1
-        if not changed:
-            return
-
-
-@_jit
-def _uf_find(parent, x):
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        nxt = parent[x]
-        parent[x] = root
-        x = nxt
-    return root
-
-
-@_jit
-def _canon_core(
-    rows, n, aut_cap, aut_out, bestlab, orbit, labstk, ptnstk, tried, tcs, tce, cellmask, sig
-):
-    for i in range(n):
-        labstk[0, i] = i
-        ptnstk[0, i] = 1
-    ptnstk[0, n - 1] = 0
-    _refine(rows, n, labstk[0], ptnstk[0], cellmask, sig)
-    tried[0] = -1
-    best0 = np.int64(0)
-    best1 = np.int64(0)
-    have = False
-    count = np.int64(0)
-    depth = 0
-    while depth >= 0:
-        if tried[depth] < 0:
-            tc = -1
-            for p in range(n):
-                if ptnstk[depth, p] == 1:
-                    tc = p
-                    break
-            if tc < 0:
-                # leaf: pack the relabeled upper triangle
-                c0 = np.int64(0)
-                c1 = np.int64(0)
-                t = 0
-                for j in range(1, n):
-                    vj = labstk[depth, j]
-                    for i in range(j):
-                        if (rows[labstk[depth, i]] >> vj) & 1:
-                            if t < 63:
-                                c0 |= np.int64(1) << (62 - t)
-                            else:
-                                c1 |= np.int64(1) << (62 - (t - 63))
-                        t += 1
-                if (not have) or c0 < best0 or (c0 == best0 and c1 < best1):
-                    have = True
-                    best0 = c0
-                    best1 = c1
-                    count = 1
-                    for i in range(n):
-                        bestlab[i] = labstk[depth, i]
-                        orbit[i] = i
-                    if aut_cap >= 1:
-                        for p in range(n):
-                            aut_out[0, bestlab[p]] = np.int8(labstk[depth, p])
-                elif c0 == best0 and c1 == best1:
-                    count += 1
-                    if aut_cap >= count:
-                        idx = count - 1
-                        for p in range(n):
-                            aut_out[idx, bestlab[p]] = np.int8(labstk[depth, p])
-                    for p in range(n):
-                        a = _uf_find(orbit, bestlab[p])
-                        b = _uf_find(orbit, labstk[depth, p])
-                        if a < b:
-                            orbit[b] = a
-                        elif b < a:
-                            orbit[a] = b
-                depth -= 1
+    # current cells, subcells in stable signature order, until stable.
+    n = len(rows)
+    while len(cells) < n:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
                 continue
-            e = tc
-            while ptnstk[depth, e] == 1:
-                e += 1
-            tcs[depth] = tc
-            tce[depth] = e
-            tried[depth] = 0
-        k = tried[depth]
-        tc = tcs[depth]
-        if tc + k > tce[depth]:
-            depth -= 1
+            sig = {v: tuple((rows[v] & m).bit_count() for m in masks) for v in cell}
+            cell = sorted(cell, key=sig.__getitem__)
+            start = 0
+            for p in range(1, len(cell)):
+                if sig[cell[p]] != sig[cell[p - 1]]:
+                    out.append(cell[start:p])
+                    start = p
+            out.append(cell[start:])
+        if len(out) == len(cells):
+            return out
+        cells = out
+    return cells
+
+
+def _canon(rows, n, keep):
+    """One canonical search: (code, count, bestlab, orbit, automorphisms).
+
+    code is the minimum leaf bit string shifted to 126 bits, so that its
+    high and low 63 bits are the two kernel words.  The automorphisms,
+    identity first, are collected only when keep is set.
+    """
+    best = -1
+    count = 0
+    bestlab = ()
+    auts = []
+    parent = list(range(n))
+    stack = [[list(range(n))]]
+    while stack:
+        cells = _refine(rows, stack.pop())
+        for ci, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            lab = tuple(cell[0] for cell in cells)
+            code = 0
+            for j in range(1, n):
+                row = rows[lab[j]]
+                for i in range(j):
+                    code = code << 1 | (row >> lab[i]) & 1
+            if best < 0 or code < best:
+                best, count, bestlab = code, 1, lab
+                parent[:] = range(n)
+                auts[:] = [tuple(range(n))] if keep else []
+            elif code == best:
+                count += 1
+                if keep:
+                    image = dict(zip(bestlab, lab))
+                    auts.append(tuple(image[v] for v in range(n)))
+                for p in range(n):
+                    _union(parent, bestlab[p], lab[p])
             continue
-        tried[depth] = k + 1
-        d1 = depth + 1
-        for i in range(n):
-            labstk[d1, i] = labstk[depth, i]
-            ptnstk[d1, i] = ptnstk[depth, i]
-        tmp = labstk[d1, tc + k]
-        labstk[d1, tc + k] = labstk[d1, tc]
-        labstk[d1, tc] = tmp
-        ptnstk[d1, tc] = 0
-        _refine(rows, n, labstk[d1], ptnstk[d1], cellmask, sig)
-        tried[d1] = -1
-        depth = d1
-    for v in range(n):
-        orbit[v] = _uf_find(orbit, v)
-    return best0, best1, count
+        # individualize each vertex of the first non-singleton cell in
+        # turn; pushed in reverse so that the search takes them in order
+        for k in reversed(range(len(cell))):
+            split = cell.copy()
+            split[0], split[k] = split[k], split[0]
+            stack.append(cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :])
+    orbit = tuple(_find(parent, v) for v in range(n))
+    return best << (126 - n * (n - 1) // 2), count, bestlab, orbit, tuple(auts)
 
 
-@_jit
-def _code_to_rows(code, n, rows):
+def _code_rows(code, n):
     # bit t of code is pair (i, j), column-major: t = C(j,2) + i
-    for i in range(n):
-        rows[i] = 0
+    rows = [0] * n
     t = 0
     for j in range(1, n):
         for i in range(j):
             if (code >> t) & 1:
-                rows[i] |= np.int64(1) << j
-                rows[j] |= np.int64(1) << i
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
             t += 1
+    return rows
 
 
-@_jit
-def _switch_into(rows, n, smask, out):
-    full = (np.int64(1) << n) - 1
+def _switch(rows, smask, full):
     opp = full ^ smask
-    for i in range(n):
-        if (smask >> i) & 1:
-            out[i] = rows[i] ^ opp
-        else:
-            out[i] = rows[i] ^ smask
+    return [row ^ (opp if (smask >> i) & 1 else smask) for i, row in enumerate(rows)]
 
 
-@_jit
-def _switch_vertex_inplace(rows, n, v):
-    full = (np.int64(1) << n) - 1
-    rows[v] ^= full & ~(np.int64(1) << v)
-    for j in range(n):
-        if j != v:
-            rows[j] ^= np.int64(1) << v
+def _complement(rows, full):
+    return [(row ^ full) & ~(1 << i) for i, row in enumerate(rows)]
 
 
-@_jit
-def _rows_eq(a, b, n):
-    for i in range(n):
-        if a[i] != b[i]:
-            return False
-    return True
-
-
-@_jit
-def census_scan(n):
-    """Canonical first word for every labeled graph of order n, by code."""
-    npairs = n * (n - 1) // 2
-    ncodes = np.int64(1) << npairs
-    out = np.empty(ncodes, np.int64)
-    rows = np.zeros(n, np.int64)
-    bestlab = np.empty(n, np.int64)
-    orbit = np.empty(n, np.int64)
-    aut_out = np.empty((0, n), np.int8)
-    labstk = np.empty((n + 1, n), np.int64)
-    ptnstk = np.empty((n + 1, n), np.int64)
-    tried = np.empty(n + 1, np.int64)
-    tcs = np.empty(n + 1, np.int64)
-    tce = np.empty(n + 1, np.int64)
-    cellmask = np.empty(n, np.int64)
-    sig = np.empty((n, n), np.int64)
-    for code in range(ncodes):
-        _code_to_rows(code, n, rows)
-        c0, c1, cnt = _canon_core(
-            rows, n, 0, aut_out, bestlab, orbit, labstk, ptnstk, tried, tcs, tce, cellmask, sig
-        )
-        out[code] = c0
+def _switch_vertex(rows, v, full):
+    bit = 1 << v
+    out = [row ^ bit for row in rows]
+    out[v] = rows[v] ^ (full & ~bit)
     return out
 
 
-@_jit
+def census_scan(n):
+    """Canonical first word for every labeled graph of order n, by code."""
+    ncodes = 1 << (n * (n - 1) // 2)
+    words = (_canon(_code_rows(code, n), n, False)[0] >> 63 for code in range(ncodes))
+    return np.fromiter(words, np.int64, ncodes)
+
+
 def switch_orbit_scan(rows, n):
     """Canonical first word of the switch of rows by every even-mask subset.
 
     Index k holds the word for subset mask 2k; odd masks are covered by
     complement equivalence.  Index 0 is the graph's own canonical word.
     """
-    half = np.int64(1) << (n - 1)
-    out = np.empty(half, np.int64)
-    sw = np.zeros(n, np.int64)
-    bestlab = np.empty(n, np.int64)
-    orbit = np.empty(n, np.int64)
-    aut_out = np.empty((0, n), np.int8)
-    labstk = np.empty((n + 1, n), np.int64)
-    ptnstk = np.empty((n + 1, n), np.int64)
-    tried = np.empty(n + 1, np.int64)
-    tcs = np.empty(n + 1, np.int64)
-    tce = np.empty(n + 1, np.int64)
-    cellmask = np.empty(n, np.int64)
-    sig = np.empty((n, n), np.int64)
-    for k in range(half):
-        s = np.int64(k) << 1
-        _switch_into(rows, n, s, sw)
-        c0, c1, cnt = _canon_core(
-            sw, n, 0, aut_out, bestlab, orbit, labstk, ptnstk, tried, tcs, tce, cellmask, sig
-        )
-        out[k] = c0
-    return out
+    full = (1 << n) - 1
+    half = 1 << (n - 1)
+    words = (_canon(_switch(rows, k << 1, full), n, False)[0] >> 63 for k in range(half))
+    return np.fromiter(words, np.int64, half)
 
 
-@_jit
 def labeled_switch_components(n):
     """Union-find roots over all labeled codes, joined by single-vertex switches."""
-    npairs = n * (n - 1) // 2
-    ncodes = np.int64(1) << npairs
-    parent = np.arange(ncodes)
-    vt = np.zeros(n, np.int64)
+    ncodes = 1 << (n * (n - 1) // 2)
+    parent = list(range(ncodes))
+    # vt[v]: the code bits of the pairs at vertex v, toggled by switching v
+    vt = [0] * n
     t = 0
     for j in range(1, n):
         for i in range(j):
-            vt[i] |= np.int64(1) << t
-            vt[j] |= np.int64(1) << t
+            vt[i] |= 1 << t
+            vt[j] |= 1 << t
             t += 1
     for code in range(ncodes):
-        for v in range(n):
-            a = _uf_find(parent, code)
-            b = _uf_find(parent, code ^ vt[v])
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    for code in range(ncodes):
-        parent[code] = _uf_find(parent, code)
-    return parent
+        for toggle in vt:
+            _union(parent, code, code ^ toggle)
+    return np.fromiter((_find(parent, code) for code in range(ncodes)), np.int64, ncodes)
 
 
-@_jit
 def algebra_sweep(n):
     """Exhaustive switching-identity sweep over every labeled graph of order n.
 
@@ -352,116 +187,56 @@ def algebra_sweep(n):
       kind 4    graph complement commutes with switching
       kind 5    switching by t then s equals switching by s xor t
 
-    Returns int64[8]: graphs, checks, violations, then the first witness
-    as (code, s, t, kind), each -1 when unused.
+    Returns seven ints: graphs, checks, violations, then the first
+    witness as (code, s, t, kind), each -1 when unused.
     """
-    npairs = n * (n - 1) // 2
-    ncodes = np.int64(1) << npairs
-    full = (np.int64(1) << n) - 1
-    nsub = np.int64(1) << n
-    g = np.zeros(n, np.int64)
-    gc = np.zeros(n, np.int64)
-    a = np.zeros(n, np.int64)
-    b = np.zeros(n, np.int64)
-    c = np.zeros(n, np.int64)
-    d = np.zeros(n, np.int64)
-    out = np.zeros(8, np.int64)
-    out[3] = -1
-    out[4] = -1
-    out[5] = -1
-    out[6] = -1
-    checks = np.int64(0)
+    ncodes = 1 << (n * (n - 1) // 2)
+    full = (1 << n) - 1
+    nsub = 1 << n
+    checks = 0
+    bad = 0
+    witness = (-1, -1, -1, -1)
     for code in range(ncodes):
-        _code_to_rows(code, n, g)
-        for i in range(n):
-            gc[i] = (g[i] ^ full) & ~(np.int64(1) << i)
+        g = _code_rows(code, n)
+        gc = _complement(g, full)
+        sw = [_switch(g, s, full) for s in range(nsub)]
         for s in range(nsub):
-            _switch_into(g, n, s, a)
-            for i in range(n):
-                b[i] = g[i]
-                c[i] = g[i]
+            a = sw[s]
+            asc = desc = g
             for v in range(n):
                 if (s >> v) & 1:
-                    _switch_vertex_inplace(b, n, v)
+                    asc = _switch_vertex(asc, v, full)
             for v in range(n - 1, -1, -1):
                 if (s >> v) & 1:
-                    _switch_vertex_inplace(c, n, v)
-            checks += 2
-            if not _rows_eq(a, b, n):
-                out[2] += 1
-                if out[3] < 0:
-                    out[3] = code
-                    out[4] = s
-                    out[6] = 0
-            if not _rows_eq(a, c, n):
-                out[2] += 1
-                if out[3] < 0:
-                    out[3] = code
-                    out[4] = s
-                    out[6] = 1
+                    desc = _switch_vertex(desc, v, full)
+            tests = [(0, a == asc), (1, a == desc)]
             if s == 0 or s == full:
+                tests.append((2, a == g))
+            tests += [(3, a == sw[full ^ s]), (4, _complement(a, full) == _switch(gc, s, full))]
+            for kind, ok in tests:
                 checks += 1
-                if not _rows_eq(a, g, n):
-                    out[2] += 1
-                    if out[3] < 0:
-                        out[3] = code
-                        out[4] = s
-                        out[6] = 2
-            _switch_into(g, n, full ^ s, d)
-            checks += 1
-            if not _rows_eq(a, d, n):
-                out[2] += 1
-                if out[3] < 0:
-                    out[3] = code
-                    out[4] = s
-                    out[6] = 3
-            for i in range(n):
-                d[i] = (a[i] ^ full) & ~(np.int64(1) << i)
-            _switch_into(gc, n, s, b)
-            checks += 1
-            if not _rows_eq(d, b, n):
-                out[2] += 1
-                if out[3] < 0:
-                    out[3] = code
-                    out[4] = s
-                    out[6] = 4
+                if not ok:
+                    bad += 1
+                    if witness[0] < 0:
+                        witness = (code, s, -1, kind)
         for s in range(nsub):
             for t in range(nsub):
-                _switch_into(g, n, t, b)
-                _switch_into(b, n, s, c)
-                _switch_into(g, n, s ^ t, d)
                 checks += 1
-                if not _rows_eq(c, d, n):
-                    out[2] += 1
-                    if out[3] < 0:
-                        out[3] = code
-                        out[4] = s
-                        out[5] = t
-                        out[6] = 5
-    out[0] = ncodes
-    out[1] = checks
-    return out
+                if _switch(sw[t], s, full) != sw[s ^ t]:
+                    bad += 1
+                    if witness[0] < 0:
+                        witness = (code, s, t, 5)
+    return (ncodes, checks, bad) + witness
 
 
-def run_canon(rows: np.ndarray, n: int, aut_cap: int = 0, aut_rows: np.ndarray | None = None):
-    """Allocate scratch and run the canonical search once.
+def run_canon(rows, n, automorphisms=False):
+    """Run the canonical search once on an int sequence of adjacency rows.
 
-    Returns (word0, word1, aut_count, bestlab, orbit).  bestlab maps new
-    label -> old vertex; orbit holds the automorphism orbit root of each
-    vertex.  aut_rows, when given, receives min(aut_count, len) elements.
+    Returns (word0, word1, aut_count, bestlab, orbit), plus the tuple of
+    automorphisms (identity first, each as image[v]) when automorphisms
+    is set.  bestlab maps new label -> old vertex; orbit holds the
+    automorphism orbit root of each vertex.
     """
-    if aut_rows is None:
-        aut_rows = np.empty((0, n), np.int8)
-    bestlab = np.empty(n, np.int64)
-    orbit = np.empty(n, np.int64)
-    labstk = np.empty((n + 1, n), np.int64)
-    ptnstk = np.empty((n + 1, n), np.int64)
-    tried = np.empty(n + 1, np.int64)
-    tcs = np.empty(n + 1, np.int64)
-    tce = np.empty(n + 1, np.int64)
-    cellmask = np.empty(n, np.int64)
-    sig = np.empty((n, n), np.int64)
-    c0, c1, cnt = _canon_core(
-        rows, n, aut_cap, aut_rows, bestlab, orbit, labstk, ptnstk, tried, tcs, tce, cellmask, sig
-    )
-    return int(c0), int(c1), int(cnt), bestlab, orbit
+    code, count, bestlab, orbit, auts = _canon(rows, n, automorphisms)
+    out = (code >> 63, code & _WORD, count, bestlab, orbit)
+    return out + (auts,) if automorphisms else out

@@ -18,15 +18,10 @@ from .graph6 import to_graph6
 from .graphs import Graph, complement
 from .invariants import seidel_char_poly
 from .iso import CanonicalForm, canonical_graph, form_from_word
-from .iss import iss_family
 
 SWITCHING_CLASS_MAX_ORDER = 10
 CENSUS_MAX_ORDER = 7
 COMPLEMENT_CLASS_MAX_ORDER = 8
-
-
-def _orbit_words(g: Graph) -> np.ndarray:
-    return _kernels.switch_orbit_scan(np.array(g.adj, dtype=np.int64), g.n)
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ def switching_class(g: Graph) -> SwitchingClass:
     """
     if g.n > SWITCHING_CLASS_MAX_ORDER:
         raise ValueError(f"order {g.n} above supported bound {SWITCHING_CLASS_MAX_ORDER}")
-    words = sorted({int(w) for w in _orbit_words(g)})
+    words = sorted({int(w) for w in _kernels.switch_orbit_scan(g.adj, g.n)})
     members = frozenset(form_from_word(g.n, w) for w in words)
     return SwitchingClass(form_from_word(g.n, words[0]), members)
 
@@ -109,7 +104,7 @@ def census(n: int) -> list[CensusRecord]:
     k = len(uniq)
     index = {int(w): i for i, w in enumerate(uniq)}
     reps = [canonical_graph(form_from_word(n, int(w))) for w in uniq]
-    orbit_words = [_orbit_words(r) for r in reps]
+    orbit_words = [_kernels.switch_orbit_scan(r.adj, n) for r in reps]
     for i in range(k):
         if int(orbit_words[i][0]) != int(uniq[i]):
             raise AssertionError("canonical representative failed to re-canonicalize")
@@ -142,8 +137,8 @@ def census(n: int) -> list[CensusRecord]:
         for i in idxs:
             if seidel_char_poly(reps[i]) != poly:
                 raise AssertionError("Seidel polynomial differs inside a switching class")
-            fam = iss_family(reps[i]).size
-            fam_sizes.append(fam)
+            # identity switches: the masks 2k whose switch keeps the form, and their complements
+            fam_sizes.append(2 * int(np.count_nonzero(orbit_words[i] == orbit_words[i][0])))
         labeled = int(sum(counts[i] for i in idxs))
         records.append(
             CensusRecord(

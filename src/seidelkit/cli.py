@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .classes import census
@@ -44,6 +45,16 @@ def _load_graphs(args) -> list[Graph]:
     if args.graph is None:
         raise UsageError("pass --graph <graph6> or --stdin")
     return [from_graph6(args.graph)]
+
+
+def _output(path: str | None):
+    # the --out file, opened before any work so a bad path fails fast
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _mask_repr(n: int, mask: int) -> str:
@@ -89,38 +100,31 @@ def cmd_iss(args) -> int:
 
 
 def cmd_census(args) -> int:
-    recs = census(args.order)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
+        recs = census(args.order)
         for r in recs:
             print(r.to_json(), file=out)
-    finally:
-        if args.out:
-            out.close()
     print(f"order {args.order}: {len(recs)} classes")
     return 0
 
 
 def cmd_verify(args) -> int:
-    results = run_suites(args.suite, args.max_order, args.jobs)
-    findings = []
-    bad = 0
-    for res in results:
-        print(f"[{res.suite}] {res.checks} checks, "
-              f"{len(res.violations)} violations, {len(res.findings)} findings")
-        for line in res.lines:
-            print(f"  {line}")
-        for v in res.violations:
-            print(f"  VIOLATION: {v}")
-        bad += len(res.violations)
-        findings.extend(res.findings)
-    if args.out:
-        with open(args.out, "w") as fh:
-            for f in findings:
-                print(f.to_json(), file=fh)
-    else:
+    if args.max_order < 1:
+        raise UsageError(f"--max-order must be at least 1, got {args.max_order}")
+    with _output(args.out) as out:
+        findings = []
+        bad = 0
+        for res in run_suites(args.suite, args.max_order):
+            print(f"[{res.suite}] {res.checks} checks, "
+                  f"{len(res.violations)} violations, {len(res.findings)} findings")
+            for line in res.lines:
+                print(f"  {line}")
+            for v in res.violations:
+                print(f"  VIOLATION: {v}")
+            bad += len(res.violations)
+            findings.extend(res.findings)
         for f in findings:
-            print(f.to_json())
+            print(f.to_json(), file=out)
     print(("FAIL" if bad else "PASS") + f" ({bad} violations, {len(findings)} findings)")
     return 1 if bad else 0
 
@@ -169,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--max-order", type=int, default=6, dest="max_order")
     p.add_argument("--out", help="write findings JSONL here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="named graph families as graph6")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-import numpy as np
-
 from . import _kernels
 from .graphs import Graph, Permutation, graph_from_code, relabel
 
@@ -31,10 +29,6 @@ def _check_bound(n: int, bound: int) -> None:
         raise ValueError(f"order {n} above supported bound {bound}")
 
 
-def _rows_of(g: Graph) -> np.ndarray:
-    return np.array(g.adj, dtype=np.int64)
-
-
 def _bits_from_lab(g: Graph, lab: Permutation) -> bytes:
     # upper triangle of the relabeled graph, column-major, 8 bits per byte
     npairs = g.n * (g.n - 1) // 2
@@ -49,12 +43,13 @@ def _bits_from_lab(g: Graph, lab: Permutation) -> bytes:
     return bytes(buf)
 
 
-@lru_cache(maxsize=1 << 16)
+# Repeats come close together (within one query or one sweep step), so a
+# small cache keeps nearly every hit while its memory stays bounded.
+@lru_cache(maxsize=1 << 10)
 def _canon_record(g: Graph) -> tuple[CanonicalForm, Permutation]:
     _check_bound(g.n, CANONICAL_MAX_ORDER)
-    c0, c1, cnt, lab, orbit = _kernels.run_canon(_rows_of(g), g.n)
-    lab_t = tuple(int(x) for x in lab)
-    return CanonicalForm(g.n, _bits_from_lab(g, lab_t)), lab_t
+    lab = _kernels.run_canon(g.adj, g.n)[3]
+    return CanonicalForm(g.n, _bits_from_lab(g, lab)), lab
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -125,29 +120,22 @@ class AutomorphismGroup:
 def automorphisms(g: Graph) -> AutomorphismGroup:
     """The full automorphism group, element by element."""
     _check_bound(g.n, AUTOMORPHISM_MAX_ORDER)
-    rows = _rows_of(g)
-    cnt = _kernels.run_canon(rows, g.n)[2]
-    aut = np.empty((cnt, g.n), np.int8)
-    cnt2 = _kernels.run_canon(rows, g.n, aut_cap=cnt, aut_rows=aut)[2]
-    if cnt2 != cnt:
-        raise AssertionError("canonical search count changed between passes")
-    elements = tuple(tuple(int(x) for x in row) for row in aut)
-    return AutomorphismGroup(elements)
+    return AutomorphismGroup(_kernels.run_canon(g.adj, g.n, automorphisms=True)[5])
 
 
 def automorphism_count(g: Graph) -> int:
     """Group order alone, without storing elements."""
     _check_bound(g.n, CANONICAL_MAX_ORDER)
-    return _kernels.run_canon(_rows_of(g), g.n)[2]
+    return _kernels.run_canon(g.adj, g.n)[2]
 
 
 def similarity_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex orbits under the automorphism group, sorted by smallest member."""
     _check_bound(g.n, AUTOMORPHISM_MAX_ORDER)
-    orbit = _kernels.run_canon(_rows_of(g), g.n)[4]
+    orbit = _kernels.run_canon(g.adj, g.n)[4]
     blocks: dict[int, list[int]] = {}
     for v in range(g.n):
-        blocks.setdefault(int(orbit[v]), []).append(v)
+        blocks.setdefault(orbit[v], []).append(v)
     return tuple(tuple(blocks[r]) for r in sorted(blocks))
 
 

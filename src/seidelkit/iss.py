@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels
 from .graphs import Graph, VertexSet, induced_subgraph
 from .iso import automorphisms, canonical_form
@@ -56,7 +54,7 @@ def iss_family(g: Graph) -> IssFamily:
     n = g.n
     if n > ISS_FAMILY_MAX_ORDER:
         raise ValueError(f"order {n} above supported bound {ISS_FAMILY_MAX_ORDER}")
-    words = _kernels.switch_orbit_scan(np.array(g.adj, dtype=np.int64), n)
+    words = _kernels.switch_orbit_scan(g.adj, n)
     own = int(words[0])
     full = (1 << n) - 1
     masks: list[int] = []

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import _kernels
@@ -108,16 +107,7 @@ def _reps_upto(max_order: int, cap: int = SWEEP_CAP):
         yield n, nonisomorphic_graphs(n)
 
 
-def _map_jobs(fn, items, jobs: int):
-    # kernels drop the interpreter lock, so threads shard real work;
-    # map() preserves order, keeping output deterministic
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
-def suite_algebra(max_order: int, jobs: int = 1) -> SuiteResult:
+def suite_algebra(max_order: int) -> SuiteResult:
     res = SuiteResult("algebra")
     for n in range(1, min(max_order, 5) + 1):
         stats = _kernels.algebra_sweep(n)
@@ -149,7 +139,7 @@ def suite_algebra(max_order: int, jobs: int = 1) -> SuiteResult:
     return res.finish()
 
 
-def suite_iso(max_order: int, jobs: int = 1) -> SuiteResult:
+def suite_iso(max_order: int) -> SuiteResult:
     res = SuiteResult("iso")
     rng = random.Random(SEED)
     for n, reps in _reps_upto(max_order):
@@ -215,7 +205,7 @@ def suite_iso(max_order: int, jobs: int = 1) -> SuiteResult:
     return res.finish()
 
 
-def suite_invariants(max_order: int, jobs: int = 1) -> SuiteResult:
+def suite_invariants(max_order: int) -> SuiteResult:
     res = SuiteResult("invariants")
     fixtures = [
         (complete(2), (-1, 0, 1)),
@@ -227,9 +217,8 @@ def suite_invariants(max_order: int, jobs: int = 1) -> SuiteResult:
         if seidel_char_poly(g) != want:
             res.violations.append(f"pinned polynomial wrong for {to_graph6(g)}")
 
-    def work(arg):
-        # per-graph seed keeps the run deterministic under any job count
-        n, idx, g = arg
+    def work(n, idx, g):
+        # seeded per graph, so each relabeling is fixed by (n, idx) alone
         rng = random.Random(f"{SEED}:{n}:{idx}")
         poly = seidel_char_poly(g)
         bad = []
@@ -249,7 +238,7 @@ def suite_invariants(max_order: int, jobs: int = 1) -> SuiteResult:
         return checks, bad
 
     for n, reps in _reps_upto(min(max_order, 6)):
-        outs = _map_jobs(work, [(n, i, g) for i, g in enumerate(reps)], jobs)
+        outs = [work(n, i, g) for i, g in enumerate(reps)]
         polys = sum(o[0] for o in outs)
         res.checks += polys
         for _, bad in outs:
@@ -260,13 +249,13 @@ def suite_invariants(max_order: int, jobs: int = 1) -> SuiteResult:
     return res.finish()
 
 
-def suite_iss(max_order: int, jobs: int = 1) -> SuiteResult:
+def suite_iss(max_order: int) -> SuiteResult:
     res = SuiteResult("iss")
     rng = random.Random(SEED)
     premise = 0
     closure_fails = 0
     for n, reps in _reps_upto(max_order):
-        fams = _map_jobs(iss_family, reps, jobs)
+        fams = [iss_family(g) for g in reps]
         for g, fam in zip(reps, fams):
             masks = {m.mask for m in fam.members}
             full = (1 << n) - 1
@@ -313,7 +302,7 @@ def suite_iss(max_order: int, jobs: int = 1) -> SuiteResult:
     return res.finish()
 
 
-def suite_edge_iss(max_order: int, jobs: int = 1) -> SuiteResult:
+def suite_edge_iss(max_order: int) -> SuiteResult:
     res = SuiteResult("edge-iss")
 
     def work(g: Graph):
@@ -368,7 +357,7 @@ def suite_edge_iss(max_order: int, jobs: int = 1) -> SuiteResult:
         return checks, edges, direct, conds, agree, bad, found
 
     for n, reps in _reps_upto(max_order):
-        outs = _map_jobs(work, reps, jobs)
+        outs = [work(g) for g in reps]
         edges = sum(o[1] for o in outs)
         direct = sum(o[2] for o in outs)
         conds = sum(o[3] for o in outs)
@@ -387,7 +376,7 @@ def suite_edge_iss(max_order: int, jobs: int = 1) -> SuiteResult:
     return res.finish()
 
 
-def suite_classes(max_order: int, jobs: int = 1) -> SuiteResult:
+def suite_classes(max_order: int) -> SuiteResult:
     res = SuiteResult("classes")
     for n in range(1, min(max_order, CENSUS_CAP) + 1):
         recs = census(n)
@@ -434,7 +423,7 @@ def suite_classes(max_order: int, jobs: int = 1) -> SuiteResult:
     return res.finish()
 
 
-def suite_constructions(max_order: int, jobs: int = 1) -> SuiteResult:
+def suite_constructions(max_order: int) -> SuiteResult:
     res = SuiteResult("constructions")
 
     def check(cond: bool, msg: str):
@@ -540,13 +529,13 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(name: str, max_order: int, jobs: int = 1) -> SuiteResult:
+def run_suite(name: str, max_order: int) -> SuiteResult:
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)} or all)")
-    return _SUITE_FNS[name](max_order, jobs)
+    return _SUITE_FNS[name](max_order)
 
 
-def run_suites(name: str, max_order: int, jobs: int = 1) -> list[SuiteResult]:
+def run_suites(name: str, max_order: int) -> list[SuiteResult]:
     if name == "all":
-        return [run_suite(s, max_order, jobs) for s in SUITES]
-    return [run_suite(name, max_order, jobs)]
+        return [run_suite(s, max_order) for s in SUITES]
+    return [run_suite(name, max_order)]

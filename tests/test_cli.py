@@ -150,3 +150,20 @@ def test_verify_unknown_suite():
 def test_unknown_subcommand():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+def test_verify_refuses_nonpositive_max_order():
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(["verify", "--max-order", bad])
+        assert code == 2
+        assert err.startswith("error: ") and "--max-order" in err
+        assert "PASS" not in out
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    target = str(tmp_path / "missing" / "x.jsonl")
+    for argv in (["census", "--order", "3"], ["verify", "--suite", "iss", "--max-order", "3"]):
+        code, out, err = run_cli(argv + ["--out", target])
+        assert code == 2
+        assert err.startswith("error: ") and target in err
+        assert out == ""  # refused before any work was reported

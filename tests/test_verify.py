@@ -17,7 +17,7 @@ def test_every_suite_passes_at_small_order():
 
 
 def test_finding_counts_at_order_six():
-    results = verify.run_suites("all", max_order=6, jobs=2)
+    results = verify.run_suites("all", max_order=6)
     assert all(r.ok for r in results)
     counts = Counter(f.claim_id for r in results for f in r.findings)
     assert counts == {
@@ -44,13 +44,12 @@ def test_necessity_findings_sit_at_order_six():
 
 
 def test_runs_are_deterministic():
-    a = verify.run_suite("invariants", max_order=5, jobs=1)
-    b = verify.run_suite("invariants", max_order=5, jobs=1)
-    c = verify.run_suite("invariants", max_order=5, jobs=3)
-    assert a.lines == b.lines == c.lines
-    assert a.checks == b.checks == c.checks
-    x = verify.run_suite("iss", max_order=6, jobs=1)
-    y = verify.run_suite("iss", max_order=6, jobs=4)
+    a = verify.run_suite("invariants", max_order=5)
+    b = verify.run_suite("invariants", max_order=5)
+    assert a.lines == b.lines
+    assert a.checks == b.checks
+    x = verify.run_suite("iss", max_order=6)
+    y = verify.run_suite("iss", max_order=6)
     assert [f.to_json() for f in x.findings] == [f.to_json() for f in y.findings]
 
 
