@@ -1,10 +1,10 @@
 """Canonical search and exhaustive sweeps over int bitmask rows.
 
 A graph of order n is a sequence of n Python ints in the layout of
-Graph.adj: bit j of rows[i] is set when {i, j} is an edge.  Every kernel
-is plain Python over those ints; the per-code scans return int64 numpy
-arrays.  Helpers carry a leading underscore, so the unprefixed functions
-are the only entry points.
+Graph.adj: bit j of rows[i] is set when {i, j} is an edge.  The search
+and the sweeps are plain Python over those ints; the two-graph kernels
+are numpy over a batch of graphs.  Helpers carry a leading underscore,
+so the unprefixed functions are the only entry points.
 
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over all discrete
@@ -17,6 +17,8 @@ into a vertex orbit union-find.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -139,13 +141,6 @@ def _switch_vertex(rows, v, full):
     return out
 
 
-def census_scan(n):
-    """Canonical first word for every labeled graph of order n, by code."""
-    ncodes = 1 << (n * (n - 1) // 2)
-    words = (_canon(_code_rows(code, n), n, False)[0] >> 63 for code in range(ncodes))
-    return np.fromiter(words, np.int64, ncodes)
-
-
 def switch_orbit_scan(rows, n):
     """Canonical first word of the switch of rows by every even-mask subset.
 
@@ -158,22 +153,47 @@ def switch_orbit_scan(rows, n):
     return np.fromiter(words, np.int64, half)
 
 
-def labeled_switch_components(n):
-    """Union-find roots over all labeled codes, joined by single-vertex switches."""
-    ncodes = 1 << (n * (n - 1) // 2)
-    parent = list(range(ncodes))
-    # vt[v]: the code bits of the pairs at vertex v, toggled by switching v
-    vt = [0] * n
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            vt[i] |= 1 << t
-            vt[j] |= 1 << t
-            t += 1
-    for code in range(ncodes):
-        for toggle in vt:
-            _union(parent, code, code ^ toggle)
-    return np.fromiter((_find(parent, code) for code in range(ncodes)), np.int64, ncodes)
+def _triples(n):
+    # the 3-subsets of range(n), in combinations order: triple t is bit t
+    return np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+
+
+def two_graphs(graphs, n):
+    """The two-graph of each graph, as an int64 bitmask of its odd triples.
+
+    graphs holds adjacency-row sequences of order n <= 8.  Bit t of
+    entry k is set when the t-th 3-subset of range(n) spans an odd
+    number of edges of graph k.
+    """
+    if n > 8:
+        raise ValueError("two-graph bitmasks stop at order 8")
+    tri = _triples(n)
+    rows = np.array(graphs, dtype=np.int64).reshape(-1, n)
+    a, b, c = tri.T
+    odd = ((rows[:, a] >> b) ^ (rows[:, a] >> c) ^ (rows[:, b] >> c)) & 1
+    return (odd << np.arange(len(tri), dtype=np.int64)).sum(axis=1)
+
+
+def two_graph_orbits(graphs, n):
+    """Each graph's two-graph under all n! relabelings: (minimum image, orbit size).
+
+    Two graphs get the same minimum image exactly when their two-graphs
+    are isomorphic; the orbit size counts the labeled two-graphs
+    isomorphic to theirs.  Both come back as int64 arrays.
+    """
+    tri = _triples(n)
+    odd = ((two_graphs(graphs, n)[:, None] >> np.arange(len(tri))) & 1).astype(bool)
+    # bit[p, t]: the bit that triple t lands on under relabeling p
+    slot = np.zeros((n, n, n), dtype=np.int64)
+    slot[tri[:, 0], tri[:, 1], tri[:, 2]] = np.arange(len(tri))
+    moved = np.sort(np.array(list(permutations(range(n))))[:, tri], axis=2)
+    bit = np.int64(1) << slot[moved[..., 0], moved[..., 1], moved[..., 2]]
+    keys = np.empty(len(odd), dtype=np.int64)
+    sizes = np.empty(len(odd), dtype=np.int64)
+    for i, row in enumerate(odd):
+        images = bit[:, row].sum(axis=1)
+        keys[i], sizes[i] = images.min(), len(np.unique(images))
+    return keys, sizes
 
 
 def algebra_sweep(n):

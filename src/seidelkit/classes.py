@@ -2,14 +2,17 @@
 
 Two labeled graphs are switching-equivalent when some subset switch
 carries one to the other; folding in isomorphism gives the classes
-counted here.  The census runs two independent routes over the same
-ground set, so the numbers cross-check each other.
+counted here.  The census walks the isomorphism-class representatives
+with one switch-orbit scan per class; a second route groups the same
+representatives by their two-graphs, without any canonical search, so
+the labeled counts cross-check each other.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,7 +20,15 @@ from . import _kernels
 from .graph6 import to_graph6
 from .graphs import Graph, complement
 from .invariants import seidel_char_poly
-from .iso import CanonicalForm, canonical_graph, form_from_word
+from .iso import (
+    CanonicalForm,
+    _switch_orbit_words,
+    automorphism_count,
+    canonical_form,
+    canonical_graph,
+    form_from_word,
+    nonisomorphic_graphs,
+)
 
 SWITCHING_CLASS_MAX_ORDER = 10
 CENSUS_MAX_ORDER = 7
@@ -47,7 +58,7 @@ def switching_class(g: Graph) -> SwitchingClass:
     """
     if g.n > SWITCHING_CLASS_MAX_ORDER:
         raise ValueError(f"order {g.n} above supported bound {SWITCHING_CLASS_MAX_ORDER}")
-    words = sorted({int(w) for w in _kernels.switch_orbit_scan(g.adj, g.n)})
+    words = sorted({int(w) for w in _switch_orbit_words(g)})
     members = frozenset(form_from_word(g.n, w) for w in words)
     return SwitchingClass(form_from_word(g.n, words[0]), members)
 
@@ -71,122 +82,85 @@ class CensusRecord:
     iss_max: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "class_id": self.class_id,
-                "rep_g6": self.rep_g6,
-                "iso_class_count": self.iso_class_count,
-                "labeled_count": self.labeled_count,
-                "seidel_poly": list(self.seidel_poly),
-                "iss_min": self.iss_min,
-                "iss_max": self.iss_max,
-            }
-        )
+        # field order is the JSONL key order; the polynomial tuple becomes a list
+        return json.dumps(asdict(self))
+
+
+def _check_census_order(n: int) -> None:
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n > CENSUS_MAX_ORDER:
+        raise ValueError(f"order {n} above supported bound {CENSUS_MAX_ORDER}")
 
 
 def census(n: int) -> list[CensusRecord]:
     """All switching classes of order n.
 
-    Route: scan every labeled graph for its canonical form (the kernel
-    hands back one word per labeled code), dedup to isomorphism classes
-    with labeled multiplicities, then union classes joined by a switch.
-    Records come back sorted by representative form; class_id is the
-    index in that order.  The Seidel polynomial is asserted constant
-    across each class while it is collected.
+    Route: walk the isomorphism-class representatives in canonical-form
+    order.  The first one no class covers yet is the minimum of a new
+    class; one switch-orbit scan of its canonical graph lists the
+    class's members, one word per even-mask switch.  A member whose
+    word appears c times there has an identity-switch family of 2c
+    subsets (each even mask stands for itself and its complement), and
+    it adds n!/|Aut| labeled graphs.  Records come back sorted by
+    representative form; class_id is the index in that order.  The
+    representative is asserted to re-canonicalize, and the Seidel
+    polynomial to be constant across each class.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > CENSUS_MAX_ORDER:
-        raise ValueError(f"order {n} above supported bound {CENSUS_MAX_ORDER}")
-    words = _kernels.census_scan(n)
-    uniq, counts = np.unique(words, return_counts=True)
-    k = len(uniq)
-    index = {int(w): i for i, w in enumerate(uniq)}
-    reps = [canonical_graph(form_from_word(n, int(w))) for w in uniq]
-    orbit_words = [_kernels.switch_orbit_scan(r.adj, n) for r in reps]
-    for i in range(k):
-        if int(orbit_words[i][0]) != int(uniq[i]):
-            raise AssertionError("canonical representative failed to re-canonicalize")
-
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for w in {int(v) for v in orbit_words[i]}:
-            ra, rb = find(i), find(index[w])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-
+    _check_census_order(n)
+    fact = math.factorial(n)
+    covered: set[CanonicalForm] = set()
     records = []
-    ordered = sorted(groups.values(), key=lambda idxs: min(int(uniq[i]) for i in idxs))
-    for cid, idxs in enumerate(ordered):
-        rep_word = min(int(uniq[i]) for i in idxs)
-        rep_graph = canonical_graph(form_from_word(n, rep_word))
-        poly = seidel_char_poly(rep_graph)
-        fam_sizes = []
-        for i in idxs:
-            if seidel_char_poly(reps[i]) != poly:
+    for g in nonisomorphic_graphs(n):
+        cf = canonical_form(g)
+        if cf in covered:
+            continue
+        rep = canonical_graph(cf)
+        words = _switch_orbit_words(rep)
+        uniq, counts = np.unique(words, return_counts=True)
+        if form_from_word(n, int(words[0])) != cf or uniq[0] != words[0]:
+            raise AssertionError("class representative failed to re-canonicalize as its minimum")
+        members = [form_from_word(n, int(w)) for w in uniq]
+        covered.update(members)
+        poly = seidel_char_poly(rep)
+        labeled = 0
+        for m in map(canonical_graph, members):
+            if seidel_char_poly(m) != poly:
                 raise AssertionError("Seidel polynomial differs inside a switching class")
-            # identity switches: the masks 2k whose switch keeps the form, and their complements
-            fam_sizes.append(2 * int(np.count_nonzero(orbit_words[i] == orbit_words[i][0])))
-        labeled = int(sum(counts[i] for i in idxs))
+            labeled += fact // automorphism_count(m)
         records.append(
             CensusRecord(
                 order=n,
-                class_id=cid,
-                rep_g6=to_graph6(rep_graph),
-                iso_class_count=len(idxs),
+                class_id=len(records),
+                rep_g6=to_graph6(rep),
+                iso_class_count=len(members),
                 labeled_count=labeled,
                 seidel_poly=poly,
-                iss_min=min(fam_sizes),
-                iss_max=max(fam_sizes),
+                iss_min=2 * int(counts.min()),
+                iss_max=2 * int(counts.max()),
             )
         )
     return records
 
 
 def census_labeled_components(n: int) -> dict[CanonicalForm, int]:
-    """Labeled census by a second, independent route.
+    """Labeled census by a second route, with no canonical search.
 
-    Every labeled graph is a node and every single-vertex switch an
-    edge; union-find gives the labeled switching classes directly.
-    Each component must hold exactly 2^(n-1) labeled graphs (switches
-    by S and by its complement coincide), which is enforced here.
-    Returns labeled counts keyed by the class's minimum canonical form.
+    Two labeled graphs share their two-graph, the set of triples with
+    an odd number of edges (Seidel, "A survey of two-graphs", 1976),
+    exactly when one is a switch of the other.  So representatives lie
+    in one switching class when their two-graphs are isomorphic, and the
+    class holds 2^(n-1) labeled graphs per labeled two-graph in their
+    orbit.  The orbits must cover all 2^(C(n,2)-n+1) labeled two-graphs,
+    which is enforced here.  Returns labeled counts keyed by the class's
+    minimum canonical form.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > CENSUS_MAX_ORDER:
-        raise ValueError(f"order {n} above supported bound {CENSUS_MAX_ORDER}")
-    if n == 1:
-        return {form_from_word(1, 0): 1}
-    roots = _kernels.labeled_switch_components(n)
-    words = _kernels.census_scan(n)
-    comp_min: dict[int, int] = {}
-    comp_size: dict[int, int] = {}
-    for code in range(len(roots)):
-        r = int(roots[code])
-        w = int(words[code])
-        comp_size[r] = comp_size.get(r, 0) + 1
-        prev = comp_min.get(r)
-        if prev is None or w < prev:
-            comp_min[r] = w
-    half = 1 << (n - 1)
-    for r, size in comp_size.items():
-        if size != half:
-            raise AssertionError(f"labeled switch component of size {size}, expected {half}")
-    out: dict[CanonicalForm, int] = {}
-    for r, w in comp_min.items():
-        key = form_from_word(n, w)
-        out[key] = out.get(key, 0) + half
-    return out
+    _check_census_order(n)
+    reps = nonisomorphic_graphs(n)
+    keys, sizes = _kernels.two_graph_orbits([g.adj for g in reps], n)
+    # reps are sorted by canonical form, so each key's first rep is its class minimum
+    first = np.unique(keys, return_index=True)[1]
+    total = int(sizes[first].sum())
+    if total != 1 << (n * (n - 1) // 2 - n + 1):
+        raise AssertionError(f"two-graph orbits cover {total} labeled two-graphs")
+    return {canonical_form(reps[i]): int(sizes[i]) << (n - 1) for i in first}

@@ -40,8 +40,14 @@ def _parse_set(n: int, text: str | None) -> VertexSet:
 
 def _load_graphs(args) -> list[Graph]:
     if args.stdin:
-        lines = [ln.strip() for ln in sys.stdin if ln.strip()]
-        return [from_graph6(ln) for ln in lines]
+        graphs = []
+        for i, ln in enumerate(sys.stdin, 1):
+            if ln.strip():
+                try:
+                    graphs.append(from_graph6(ln.strip()))
+                except Graph6Error as e:
+                    raise UsageError(f"line {i}: {e}") from None
+        return graphs
     if args.graph is None:
         raise UsageError("pass --graph <graph6> or --stdin")
     return [from_graph6(args.graph)]

@@ -52,6 +52,15 @@ def _canon_record(g: Graph) -> tuple[CanonicalForm, Permutation]:
     return CanonicalForm(g.n, _bits_from_lab(g, lab)), lab
 
 
+# iss_family and switching_class scan the same graph in turn, so a few
+# entries catch the repeat; the shared array is made read-only.
+@lru_cache(maxsize=16)
+def _switch_orbit_words(g: Graph):
+    words = _kernels.switch_orbit_scan(g.adj, g.n)
+    words.flags.writeable = False
+    return words
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of g; equal forms mean isomorphic graphs."""
     return _canon_record(g)[0]

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _kernels
 from .graphs import Graph, VertexSet, induced_subgraph
-from .iso import automorphisms, canonical_form
+from .iso import _switch_orbit_words, automorphisms, canonical_form
 from .switching import switch_set
 
 ISS_FAMILY_MAX_ORDER = 10
@@ -48,35 +47,26 @@ class IssFamily:
 def iss_family(g: Graph) -> IssFamily:
     """Every identity switch of g, with the symmetric-difference verdict.
 
-    The kernel scans subsets avoiding vertex 0 and the complement map
-    fills in the rest, so the cost is 2^(n-1) canonical forms.
+    The switch-orbit scan covers the subsets avoiding vertex 0 and the
+    complement map fills in the rest, so the cost is 2^(n-1) canonical
+    forms; switching_class on the same graph reuses the scan.
     """
     n = g.n
     if n > ISS_FAMILY_MAX_ORDER:
         raise ValueError(f"order {n} above supported bound {ISS_FAMILY_MAX_ORDER}")
-    words = _kernels.switch_orbit_scan(g.adj, n)
-    own = int(words[0])
+    words = _switch_orbit_words(g)
     full = (1 << n) - 1
-    masks: list[int] = []
-    for k in range(1 << (n - 1)):
-        if int(words[k]) == own:
-            s = k << 1
-            masks.append(s)
-            masks.append(s ^ full)
-    masks.sort()
+    # slot k holds the even mask 2k, whose complement switches the same way
+    evens = [2 * int(k) for k in (words == words[0]).nonzero()[0]]
+    masks = sorted(evens + [s ^ full for s in evens])
     member_set = set(masks)
-    closed = True
-    witness = None
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a ^ b not in member_set:
-                closed = False
-                witness = (VertexSet(n, a), VertexSet(n, b), VertexSet(n, a ^ b))
-                break
-        if witness is not None:
-            break
+    witness = next(
+        ((VertexSet(n, a), VertexSet(n, b), VertexSet(n, a ^ b))
+         for i, a in enumerate(masks) for b in masks[i + 1 :] if a ^ b not in member_set),
+        None,
+    )
     members = tuple(VertexSet(n, m) for m in masks)
-    return IssFamily(g, members, closed, witness)
+    return IssFamily(g, members, witness is None, witness)
 
 
 def vertex_iss_set(g: Graph) -> VertexSet:

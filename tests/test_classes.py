@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from seidelkit import VertexSet, complement, make_graph, switch_set
+from seidelkit import VertexSet, complement, from_graph6, make_graph, switch_set
 from seidelkit.classes import (
     CENSUS_MAX_ORDER,
     COMPLEMENT_CLASS_MAX_ORDER,
@@ -65,11 +65,24 @@ def test_census_counts():
         assert len(census(n)) == CLASS_COUNTS[n]
 
 
-@pytest.mark.skip(
-    reason="the order-7 labeled scan takes minutes until the census runs on class representatives"
-)
 def test_census_count_order_seven():
-    assert len(census(7)) == CLASS_COUNTS[7]
+    recs = census(7)
+    assert len(recs) == CLASS_COUNTS[7]
+    assert sum(r.labeled_count for r in recs) == 1 << 21
+    comp = census_labeled_components(7)
+    assert comp == {canonical_form(from_graph6(r.rep_g6)): r.labeled_count for r in recs}
+
+
+def test_census_counts_match_even_degree_graphs_in_the_atlas():
+    # switching classes and even-degree graphs are equinumerous (Mallows & Sloane 1975)
+    nx = pytest.importorskip("networkx")
+    even = dict.fromkeys(range(1, 8), 0)
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() and all(d % 2 == 0 for _, d in h.degree()):
+            even[h.number_of_nodes()] += 1
+    assert even == CLASS_COUNTS
+    for n in range(1, 8):
+        assert len(census(n)) == even[n]
 
 
 def test_census_labeled_counts_cover_everything():
@@ -84,8 +97,6 @@ def test_census_labeled_counts_cover_everything():
 
 
 def test_census_dual_routes_agree():
-    from seidelkit import from_graph6
-
     for n in range(1, 7):
         recs = census(n)
         comp = census_labeled_components(n)
@@ -129,8 +140,6 @@ def test_census_json_field_order():
 def test_census_poly_constant_within_class():
     for n in range(2, 6):
         for r in census(n):
-            from seidelkit import from_graph6
-
             rep = from_graph6(r.rep_g6)
             poly = tuple(r.seidel_poly)
             assert seidel_char_poly(rep) == poly
@@ -140,8 +149,6 @@ def test_census_poly_constant_within_class():
 
 def test_census_iss_extremes_match_family_scan():
     for r in census(4):
-        from seidelkit import from_graph6
-
         rep = from_graph6(r.rep_g6)
         sizes = []
         sc = switching_class(rep)

@@ -53,6 +53,13 @@ def test_switch_stdin_lines():
     assert out.split() == ["CL", "Cx"]
 
 
+def test_stdin_error_names_the_bad_line():
+    # blank lines still count toward the line number
+    code, out, err = run_cli(["switch", "--stdin"], stdin_text="Cx\n\n!!\nCL\n")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: ")
+
+
 def test_switch_rejects_garbage():
     code, _, err = run_cli(["switch", "--graph", "!!", "--set", "0"])
     assert code == 2 and err

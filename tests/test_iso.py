@@ -20,6 +20,7 @@ from seidelkit.graphs import graph_from_code
 from seidelkit.iso import (
     AUTOMORPHISM_MAX_ORDER,
     CANONICAL_MAX_ORDER,
+    all_graphs,
     automorphism_count,
     automorphisms,
     canonical_form,
@@ -31,7 +32,7 @@ from seidelkit.iso import (
     similarity_orbits,
 )
 
-ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 def test_automorphism_counts_on_fixtures():
@@ -174,6 +175,11 @@ def test_nonisomorphic_counts():
         reps = nonisomorphic_graphs(n)
         assert len(reps) == want
         assert len({canonical_form(g) for g in reps}) == want
+
+
+def test_canonical_forms_of_all_labeled_graphs_count_the_classes():
+    for n in range(1, 7):
+        assert len({canonical_form(g) for g in all_graphs(n)}) == ISO_COUNTS[n]
 
 
 def test_orbit_counting_identity():

@@ -1,47 +1,16 @@
 """Exercises the kernels directly against the object layer."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
-import pytest
 
 from seidelkit import VertexSet, switch_set, make_graph
-from seidelkit._kernels import (
-    algebra_sweep,
-    census_scan,
-    labeled_switch_components,
-    run_canon,
-    switch_orbit_scan,
-)
+from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, empty
 from seidelkit.graphs import graph_from_code, graph_to_code
 from seidelkit.iso import automorphisms, canonical_form, form_from_word
-
-ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-
-
-def test_census_scan_unique_counts_small():
-    for n in range(1, 7):
-        words = census_scan(n)
-        assert words.shape == (1 << (n * (n - 1) // 2),)
-        assert len(np.unique(words)) == ISO_COUNTS[n]
-
-
-@pytest.mark.skip(
-    reason="the order-7 labeled scan takes minutes until the census runs on class representatives"
-)
-def test_census_scan_unique_counts_larger():
-    assert len(np.unique(census_scan(6))) == ISO_COUNTS[6]
-    assert len(np.unique(census_scan(7))) == ISO_COUNTS[7]
-
-
-def test_census_scan_words_match_object_layer():
-    n = 4
-    words = census_scan(n)
-    for code in range(len(words)):
-        g = graph_from_code(n, code)
-        assert canonical_form(g) == form_from_word(n, int(words[code]))
 
 
 def test_switch_orbit_scan_matches_switch_set():
@@ -64,20 +33,38 @@ def test_switch_orbit_scan_matches_switch_set():
             assert form_from_word(n, int(words[k])) == canonical_form(h)
 
 
+def _labeled_two_graphs(n):
+    return two_graphs([graph_from_code(n, c).adj for c in range(1 << (n * (n - 1) // 2))], n)
+
+
 def test_labeled_components_have_uniform_size():
-    for n in range(2, 6):
-        roots = labeled_switch_components(n)
-        _, counts = np.unique(roots, return_counts=True)
+    # each labeled two-graph is shared by exactly 2^(n-1) labeled graphs
+    for n in range(1, 6):
+        _, counts = np.unique(_labeled_two_graphs(n), return_counts=True)
         assert set(counts.tolist()) == {1 << (n - 1)}
+        assert len(counts) == 1 << (n * (n - 1) // 2 - n + 1)
 
 
 def test_labeled_component_membership_is_switch_reachability():
     n = 4
-    roots = labeled_switch_components(n)
+    tg = _labeled_two_graphs(n)
     g = graph_from_code(n, 13)
     reach = {graph_to_code(switch_set(g, VertexSet(n, m))) for m in range(1 << n)}
-    same_root = {c for c in range(64) if roots[c] == roots[13]}
-    assert reach == same_root
+    same_two_graph = {c for c in range(64) if tg[c] == tg[13]}
+    assert reach == same_two_graph
+
+
+def test_two_graph_bits_are_odd_triples():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
+        g = make_graph(n, edges)
+        want = 0
+        for t, tri in enumerate(itertools.combinations(range(n), 3)):
+            if sum(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2)) % 2:
+                want |= 1 << t
+        assert int(two_graphs([g.adj], n)[0]) == want
 
 
 def test_algebra_sweep_finds_no_violations():
@@ -90,6 +77,7 @@ def test_algebra_sweep_finds_no_violations():
 
 def test_run_canon_agrees_with_canonical_form():
     rng = random.Random(77)
+    graphs = [graph_from_code(4, code) for code in range(1 << 6)]  # every labeled order-4 graph
     for _ in range(30):
         n = rng.randint(1, 8)
         edges = [
@@ -98,7 +86,9 @@ def test_run_canon_agrees_with_canonical_form():
             for j in range(i + 1, n)
             if rng.random() < 0.5
         ]
-        g = make_graph(n, edges)
+        graphs.append(make_graph(n, edges))
+    for g in graphs:
+        n = g.n
         w0, w1, count, bestlab, orbit = run_canon(g.adj, n)
         assert w1 == 0  # orders below 12 fit the first word
         assert form_from_word(n, int(w0)) == canonical_form(g)
