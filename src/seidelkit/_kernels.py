@@ -9,11 +9,11 @@ so the unprefixed functions are the only entry points.
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over all discrete
 refinements.  A leaf is a labeling; its code is the relabeled
-upper-triangle bit string, column-major, packed big-endian into two
-63-bit words so that integer order equals string order.  The canonical
-form is the minimum leaf code.  Leaves that tie the minimum are exactly
-the automorphisms, which the search counts, optionally keeps, and folds
-into a vertex orbit union-find.
+upper-triangle bit string as one int (graphs._upper_bits), in which
+integer order equals string order.  The canonical form is the minimum
+leaf code.  Leaves that tie the minimum are exactly the automorphisms,
+which the search counts, optionally keeps, and folds into a vertex
+orbit union-find.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-_WORD = (1 << 63) - 1
+from .graphs import _upper_bits, graph_from_code
 
 
 def _find(parent, x):
@@ -66,11 +66,10 @@ def _refine(rows, cells):
 
 
 def _canon(rows, n, keep):
-    """One canonical search: (code, count, bestlab, orbit, automorphisms).
+    """One canonical search: (code, bestlab, count, orbit, automorphisms).
 
-    code is the minimum leaf bit string shifted to 126 bits, so that its
-    high and low 63 bits are the two kernel words.  The automorphisms,
-    identity first, are collected only when keep is set.
+    code is the minimum leaf code.  The automorphisms, identity first,
+    are collected only when keep is set.
     """
     best = -1
     count = 0
@@ -85,11 +84,7 @@ def _canon(rows, n, keep):
                 break
         else:
             lab = tuple(cell[0] for cell in cells)
-            code = 0
-            for j in range(1, n):
-                row = rows[lab[j]]
-                for i in range(j):
-                    code = code << 1 | (row >> lab[i]) & 1
+            code = _upper_bits(rows, lab)
             if best < 0 or code < best:
                 best, count, bestlab = code, 1, lab
                 parent[:] = range(n)
@@ -109,20 +104,7 @@ def _canon(rows, n, keep):
             split[0], split[k] = split[k], split[0]
             stack.append(cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :])
     orbit = tuple(_find(parent, v) for v in range(n))
-    return best << (126 - n * (n - 1) // 2), count, bestlab, orbit, tuple(auts)
-
-
-def _code_rows(code, n):
-    # bit t of code is pair (i, j), column-major: t = C(j,2) + i
-    rows = [0] * n
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (code >> t) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            t += 1
-    return rows
+    return best, bestlab, count, orbit, tuple(auts)
 
 
 def _switch(rows, smask, full):
@@ -142,15 +124,13 @@ def _switch_vertex(rows, v, full):
 
 
 def switch_orbit_scan(rows, n):
-    """Canonical first word of the switch of rows by every even-mask subset.
+    """Canonical code of the switch of rows by every even-mask subset, as a tuple.
 
-    Index k holds the word for subset mask 2k; odd masks are covered by
-    complement equivalence.  Index 0 is the graph's own canonical word.
+    Index k holds the code for subset mask 2k; odd masks are covered by
+    complement equivalence.  Index 0 is the graph's own canonical code.
     """
     full = (1 << n) - 1
-    half = 1 << (n - 1)
-    words = (_canon(_switch(rows, k << 1, full), n, False)[0] >> 63 for k in range(half))
-    return np.fromiter(words, np.int64, half)
+    return tuple(_canon(_switch(rows, k << 1, full), n, False)[0] for k in range(1 << (n - 1)))
 
 
 def _triples(n):
@@ -217,7 +197,7 @@ def algebra_sweep(n):
     bad = 0
     witness = (-1, -1, -1, -1)
     for code in range(ncodes):
-        g = _code_rows(code, n)
+        g = list(graph_from_code(n, code).adj)
         gc = _complement(g, full)
         sw = [_switch(g, s, full) for s in range(nsub)]
         for s in range(nsub):
@@ -252,11 +232,10 @@ def algebra_sweep(n):
 def run_canon(rows, n, automorphisms=False):
     """Run the canonical search once on an int sequence of adjacency rows.
 
-    Returns (word0, word1, aut_count, bestlab, orbit), plus the tuple of
-    automorphisms (identity first, each as image[v]) when automorphisms
-    is set.  bestlab maps new label -> old vertex; orbit holds the
-    automorphism orbit root of each vertex.
+    Returns (code, bestlab, aut_count, orbit, auts).  code is the
+    canonical upper-triangle bit string as one int; bestlab maps new
+    label -> old vertex; orbit holds the automorphism orbit root of each
+    vertex; auts is the tuple of automorphisms (identity first, each as
+    image[v]) when automorphisms is set, else empty.
     """
-    code, count, bestlab, orbit, auts = _canon(rows, n, automorphisms)
-    out = (code >> 63, code & _WORD, count, bestlab, orbit)
-    return out + (auts,) if automorphisms else out
+    return _canon(rows, n, automorphisms)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,11 +23,11 @@ from .graphs import Graph, complement
 from .invariants import seidel_char_poly
 from .iso import (
     CanonicalForm,
-    _switch_orbit_words,
+    _form,
+    _switch_orbit_codes,
     automorphism_count,
     canonical_form,
     canonical_graph,
-    form_from_word,
     nonisomorphic_graphs,
 )
 
@@ -58,9 +59,9 @@ def switching_class(g: Graph) -> SwitchingClass:
     """
     if g.n > SWITCHING_CLASS_MAX_ORDER:
         raise ValueError(f"order {g.n} above supported bound {SWITCHING_CLASS_MAX_ORDER}")
-    words = sorted({int(w) for w in _switch_orbit_words(g)})
-    members = frozenset(form_from_word(g.n, w) for w in words)
-    return SwitchingClass(form_from_word(g.n, words[0]), members)
+    codes = sorted(set(_switch_orbit_codes(g)))
+    members = frozenset(_form(g.n, c) for c in codes)
+    return SwitchingClass(_form(g.n, codes[0]), members)
 
 
 def check_complement_class(g: Graph) -> bool:
@@ -99,8 +100,8 @@ def census(n: int) -> list[CensusRecord]:
     Route: walk the isomorphism-class representatives in canonical-form
     order.  The first one no class covers yet is the minimum of a new
     class; one switch-orbit scan of its canonical graph lists the
-    class's members, one word per even-mask switch.  A member whose
-    word appears c times there has an identity-switch family of 2c
+    class's members, one code per even-mask switch.  A member whose
+    code appears c times there has an identity-switch family of 2c
     subsets (each even mask stands for itself and its complement), and
     it adds n!/|Aut| labeled graphs.  Records come back sorted by
     representative form; class_id is the index in that order.  The
@@ -116,11 +117,11 @@ def census(n: int) -> list[CensusRecord]:
         if cf in covered:
             continue
         rep = canonical_graph(cf)
-        words = _switch_orbit_words(rep)
-        uniq, counts = np.unique(words, return_counts=True)
-        if form_from_word(n, int(words[0])) != cf or uniq[0] != words[0]:
+        codes = _switch_orbit_codes(rep)
+        counts = Counter(codes)
+        if _form(n, codes[0]) != cf or min(counts) != codes[0]:
             raise AssertionError("class representative failed to re-canonicalize as its minimum")
-        members = [form_from_word(n, int(w)) for w in uniq]
+        members = [_form(n, c) for c in sorted(counts)]
         covered.update(members)
         poly = seidel_char_poly(rep)
         labeled = 0
@@ -136,8 +137,8 @@ def census(n: int) -> list[CensusRecord]:
                 iso_class_count=len(members),
                 labeled_count=labeled,
                 seidel_poly=poly,
-                iss_min=2 * int(counts.min()),
-                iss_max=2 * int(counts.max()),
+                iss_min=2 * min(counts.values()),
+                iss_max=2 * max(counts.values()),
             )
         )
     return records

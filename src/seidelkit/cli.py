@@ -198,10 +198,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code else 0
     try:
         return args.fn(args)
-    except (UsageError, Graph6Error) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
+        # Graph6Error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:

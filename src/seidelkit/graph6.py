@@ -2,12 +2,13 @@
 
 Only the short form is handled (order 1..62, single size byte).  The
 upper-triangle bits run column-major, x(0,1) x(0,2) x(1,2) x(0,3) ...,
-packed big-endian six bits per character with offset 63.
+packed big-endian six bits per character with offset 63: the bit string
+of graphs._upper_bits, zero-padded to whole characters.
 """
 
 from __future__ import annotations
 
-from .graphs import MAX_ORDER, Graph
+from .graphs import MAX_ORDER, Graph, _upper_bits, _upper_rows
 
 
 class Graph6Error(ValueError):
@@ -15,21 +16,10 @@ class Graph6Error(ValueError):
 
 
 def to_graph6(g: Graph) -> str:
-    chars = [chr(63 + g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        chars.append(chr(63 + acc))
-    return "".join(chars)
+    npairs = g.n * (g.n - 1) // 2
+    nchars = (npairs + 5) // 6
+    code = _upper_bits(g.adj, range(g.n)) << (6 * nchars - npairs)
+    return chr(63 + g.n) + "".join([chr(63 + ((code >> s) & 63)) for s in range(6 * nchars - 6, -1, -6)])
 
 
 def from_graph6(text: str) -> Graph:
@@ -51,22 +41,10 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated: order {n} needs {need} data characters, got {got}")
     if got > need:
         raise Graph6Error(f"trailing garbage: order {n} needs {need} data characters, got {got}")
-    rows = [0] * n
-    t = 0
+    code = 0
     for c in text[1:]:
-        group = ord(c) - 63
-        for b in range(5, -1, -1):
-            bit = (group >> b) & 1
-            if t < npairs:
-                if bit:
-                    # invert the column-major index: t = C(j,2) + i
-                    j = 1
-                    while (j + 1) * j // 2 <= t:
-                        j += 1
-                    i = t - j * (j - 1) // 2
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("nonzero padding bits")
-            t += 1
-    return Graph(n, tuple(rows))
+        code = code << 6 | (ord(c) - 63)
+    pad = 6 * need - npairs
+    if code & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits")
+    return Graph(n, tuple(_upper_rows(n, code >> pad)))

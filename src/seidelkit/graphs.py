@@ -209,16 +209,46 @@ def relabel(g: Graph, perm: Permutation) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def _upper_bits(rows, lab) -> int:
+    """The upper-triangle bit string of rows relabeled by lab, as one int.
+
+    lab maps new label -> old vertex.  Pairs run column-major, (0,1)
+    (0,2) (1,2) (0,3) ..., and the first pair is the highest bit, so
+    integer order is string order; graph6 and CanonicalForm carry this
+    string, padded on the right.
+    """
+    code = 0
+    for j in range(1, len(lab)):
+        # one column at a time, so the inner loop shifts a small int
+        row = rows[lab[j]]
+        col = 0
+        for v in lab[:j]:
+            col = col << 1 | (row >> v) & 1
+        code = code << j | col
+    return code
+
+
+def _upper_rows(n: int, code: int) -> list[int]:
+    """Adjacency rows of order n from the bit string _upper_bits encodes."""
+    rows = [0] * n
+    t = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            t -= 1
+            if (code >> t) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _reversed_bits(code: int, width: int) -> int:
+    # bit t of the LSB-first code is bit width-1-t of the upper-triangle string
+    return int(format(code, f"0{width}b")[::-1], 2)
+
+
 def graph_to_code(g: Graph) -> int:
     """Pack the upper triangle into an integer, column-major: bit t(i,j) = C(j,2)+i."""
-    code = 0
-    t = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            if (g.adj[i] >> j) & 1:
-                code |= 1 << t
-            t += 1
-    return code
+    return _reversed_bits(_upper_bits(g.adj, range(g.n)), g.n * (g.n - 1) // 2)
 
 
 def graph_from_code(n: int, code: int) -> Graph:
@@ -227,12 +257,4 @@ def graph_from_code(n: int, code: int) -> Graph:
     npairs = n * (n - 1) // 2
     if code < 0 or code >> npairs:
         raise ValueError(f"code {code} out of range for order {n}")
-    rows = [0] * n
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (code >> t) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            t += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, tuple(_upper_rows(n, _reversed_bits(code, npairs))))

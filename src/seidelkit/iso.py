@@ -1,9 +1,11 @@
 """Canonical forms, isomorphism, automorphisms, and graph enumeration.
 
 The canonical form of a graph is the minimal relabeled upper-triangle
-bit string found by the refinement-and-backtracking search in _kernels.
-Equal forms characterize isomorphic graphs, and (n, bits) tuples give a
-total order used for class representatives throughout the package.
+bit string found by the refinement-and-backtracking search in _kernels,
+which returns it as one int; _form packs that int into CanonicalForm
+bytes.  Equal forms characterize isomorphic graphs, and (n, bits)
+tuples give a total order used for class representatives throughout
+the package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from . import _kernels
-from .graphs import Graph, Permutation, graph_from_code, relabel
+from .graphs import Graph, Permutation, _upper_rows, graph_from_code, relabel
 
 CANONICAL_MAX_ORDER = 12
 AUTOMORPHISM_MAX_ORDER = 10
@@ -29,18 +31,11 @@ def _check_bound(n: int, bound: int) -> None:
         raise ValueError(f"order {n} above supported bound {bound}")
 
 
-def _bits_from_lab(g: Graph, lab: Permutation) -> bytes:
-    # upper triangle of the relabeled graph, column-major, 8 bits per byte
-    npairs = g.n * (g.n - 1) // 2
-    buf = bytearray((npairs + 7) // 8)
-    t = 0
-    for j in range(1, g.n):
-        vj = lab[j]
-        for i in range(j):
-            if (g.adj[lab[i]] >> vj) & 1:
-                buf[t >> 3] |= 0x80 >> (t & 7)
-            t += 1
-    return bytes(buf)
+def _form(n: int, code: int) -> CanonicalForm:
+    # the code's bit string, first pair in the top bit, zero-padded to whole bytes
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 7) // 8
+    return CanonicalForm(n, (code << (8 * nbytes - npairs)).to_bytes(nbytes, "big"))
 
 
 # Repeats come close together (within one query or one sweep step), so a
@@ -48,17 +43,15 @@ def _bits_from_lab(g: Graph, lab: Permutation) -> bytes:
 @lru_cache(maxsize=1 << 10)
 def _canon_record(g: Graph) -> tuple[CanonicalForm, Permutation]:
     _check_bound(g.n, CANONICAL_MAX_ORDER)
-    lab = _kernels.run_canon(g.adj, g.n)[3]
-    return CanonicalForm(g.n, _bits_from_lab(g, lab)), lab
+    code, lab = _kernels.run_canon(g.adj, g.n)[:2]
+    return _form(g.n, code), lab
 
 
 # iss_family and switching_class scan the same graph in turn, so a few
-# entries catch the repeat; the shared array is made read-only.
+# entries catch the repeat.
 @lru_cache(maxsize=16)
-def _switch_orbit_words(g: Graph):
-    words = _kernels.switch_orbit_scan(g.adj, g.n)
-    words.flags.writeable = False
-    return words
+def _switch_orbit_codes(g: Graph) -> tuple[int, ...]:
+    return _kernels.switch_orbit_scan(g.adj, g.n)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -73,24 +66,8 @@ def canonical_labeling(g: Graph) -> Permutation:
 
 def canonical_graph(cf: CanonicalForm) -> Graph:
     """The representative graph encoded by a canonical form."""
-    code = 0
-    npairs = cf.n * (cf.n - 1) // 2
-    for t in range(npairs):
-        if cf.bits[t >> 3] & (0x80 >> (t & 7)):
-            code |= 1 << t
-    return graph_from_code(cf.n, code)
-
-
-def form_from_word(n: int, word: int) -> CanonicalForm:
-    """Rebuild a CanonicalForm from the kernel's first code word (needs n <= 11)."""
-    if n > 11:
-        raise ValueError("single-word forms stop at order 11")
-    npairs = n * (n - 1) // 2
-    buf = bytearray((npairs + 7) // 8)
-    for t in range(npairs):
-        if (word >> (62 - t)) & 1:
-            buf[t >> 3] |= 0x80 >> (t & 7)
-    return CanonicalForm(n, bytes(buf))
+    code = int.from_bytes(cf.bits, "big") >> (8 * len(cf.bits) - cf.n * (cf.n - 1) // 2)
+    return Graph(cf.n, tuple(_upper_rows(cf.n, code)))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -129,7 +106,7 @@ class AutomorphismGroup:
 def automorphisms(g: Graph) -> AutomorphismGroup:
     """The full automorphism group, element by element."""
     _check_bound(g.n, AUTOMORPHISM_MAX_ORDER)
-    return AutomorphismGroup(_kernels.run_canon(g.adj, g.n, automorphisms=True)[5])
+    return AutomorphismGroup(_kernels.run_canon(g.adj, g.n, automorphisms=True)[4])
 
 
 def automorphism_count(g: Graph) -> int:
@@ -141,7 +118,7 @@ def automorphism_count(g: Graph) -> int:
 def similarity_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex orbits under the automorphism group, sorted by smallest member."""
     _check_bound(g.n, AUTOMORPHISM_MAX_ORDER)
-    orbit = _kernels.run_canon(g.adj, g.n)[4]
+    orbit = _kernels.run_canon(g.adj, g.n)[3]
     blocks: dict[int, list[int]] = {}
     for v in range(g.n):
         blocks.setdefault(orbit[v], []).append(v)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, VertexSet, induced_subgraph
-from .iso import _switch_orbit_words, automorphisms, canonical_form
+from .iso import _switch_orbit_codes, automorphisms, canonical_form
 from .switching import switch_set
 
 ISS_FAMILY_MAX_ORDER = 10
@@ -54,10 +54,10 @@ def iss_family(g: Graph) -> IssFamily:
     n = g.n
     if n > ISS_FAMILY_MAX_ORDER:
         raise ValueError(f"order {n} above supported bound {ISS_FAMILY_MAX_ORDER}")
-    words = _switch_orbit_words(g)
+    codes = _switch_orbit_codes(g)
     full = (1 << n) - 1
     # slot k holds the even mask 2k, whose complement switches the same way
-    evens = [2 * int(k) for k in (words == words[0]).nonzero()[0]]
+    evens = [2 * k for k, c in enumerate(codes) if c == codes[0]]
     masks = sorted(evens + [s ^ full for s in evens])
     member_set = set(masks)
     witness = next(

@@ -33,7 +33,7 @@ from .generators import (
     tadpole,
 )
 from .graph6 import from_graph6, to_graph6
-from .graphs import Graph, VertexSet, complement, relabel
+from .graphs import VertexSet, complement, relabel
 from .invariants import seidel_char_poly
 from .iso import (
     automorphism_count,
@@ -216,33 +216,26 @@ def suite_invariants(max_order: int) -> SuiteResult:
         res.checks += 1
         if seidel_char_poly(g) != want:
             res.violations.append(f"pinned polynomial wrong for {to_graph6(g)}")
-
-    def work(n, idx, g):
-        # seeded per graph, so each relabeling is fixed by (n, idx) alone
-        rng = random.Random(f"{SEED}:{n}:{idx}")
-        poly = seidel_char_poly(g)
-        bad = []
-        if poly[n] != 1 or poly[n - 1] != 0:
-            bad.append(f"leading/trace coefficient wrong: {to_graph6(g)}")
-        checks = 1
-        for half in range(1 << (n - 1)):
-            checks += 1
-            if seidel_char_poly(switch_set(g, VertexSet(n, half << 1))) != poly:
-                bad.append(f"polynomial moved under switch: {to_graph6(g)} mask {half << 1}")
-                break
-        perm = list(range(n))
-        rng.shuffle(perm)
-        checks += 1
-        if seidel_char_poly(relabel(g, tuple(perm))) != poly:
-            bad.append(f"polynomial moved under relabeling: {to_graph6(g)}")
-        return checks, bad
-
     for n, reps in _reps_upto(min(max_order, 6)):
-        outs = [work(n, i, g) for i, g in enumerate(reps)]
-        polys = sum(o[0] for o in outs)
+        polys = 0
+        for idx, g in enumerate(reps):
+            # seeded per graph, so each relabeling is fixed by (n, idx) alone
+            rng = random.Random(f"{SEED}:{n}:{idx}")
+            poly = seidel_char_poly(g)
+            if poly[n] != 1 or poly[n - 1] != 0:
+                res.violations.append(f"leading/trace coefficient wrong: {to_graph6(g)}")
+            polys += 1
+            for half in range(1 << (n - 1)):
+                polys += 1
+                if seidel_char_poly(switch_set(g, VertexSet(n, half << 1))) != poly:
+                    res.violations.append(f"polynomial moved under switch: {to_graph6(g)} mask {half << 1}")
+                    break
+            perm = list(range(n))
+            rng.shuffle(perm)
+            polys += 1
+            if seidel_char_poly(relabel(g, tuple(perm))) != poly:
+                res.violations.append(f"polynomial moved under relabeling: {to_graph6(g)}")
         res.checks += polys
-        for _, bad in outs:
-            res.violations.extend(bad)
         res.lines.append(
             f"order {n}: {len(reps)} classes, every subset switch checked ({polys} evaluations)"
         )
@@ -304,68 +297,53 @@ def suite_iss(max_order: int) -> SuiteResult:
 
 def suite_edge_iss(max_order: int) -> SuiteResult:
     res = SuiteResult("edge-iss")
-
-    def work(g: Graph):
-        checks = 0
+    for n, reps in _reps_upto(max_order):
         edges = direct = conds = agree = 0
-        bad: list[str] = []
-        found: list[Finding] = []
-        for (x, y) in g.edges():
-            edges += 1
-            r = edge_iss_conditions(g, x, y)
-            checks += 1
-            if r.direct:
-                direct += 1
-            if r.by_conditions:
-                conds += 1
-            if r.agree:
-                agree += 1
-            if r.by_conditions and not r.direct:
-                bad.append(
-                    f"conditions held but switch not isomorphic: {to_graph6(g)} edge ({x},{y})"
-                )
-            if r.direct and not r.by_conditions:
-                found.append(Finding(
-                    "edge-iss-conditions-necessity",
-                    to_graph6(g),
-                    ((1 << x) | (1 << y),),
-                    f"edge ({x},{y}) is an identity switch but condition_i={r.condition_i} "
-                    f"condition_ii={r.condition_ii}",
-                ))
-            if r.direct:
-                checks += 1
-                if not core_neighborhoods_partition(g, x, y):
-                    found.append(Finding(
-                        "core-partition",
+        for g in reps:
+            for (x, y) in g.edges():
+                edges += 1
+                r = edge_iss_conditions(g, x, y)
+                res.checks += 1
+                if r.direct:
+                    direct += 1
+                if r.by_conditions:
+                    conds += 1
+                if r.agree:
+                    agree += 1
+                if r.by_conditions and not r.direct:
+                    res.violations.append(
+                        f"conditions held but switch not isomorphic: {to_graph6(g)} edge ({x},{y})"
+                    )
+                if r.direct and not r.by_conditions:
+                    res.findings.append(Finding(
+                        "edge-iss-conditions-necessity",
                         to_graph6(g),
                         ((1 << x) | (1 << y),),
-                        f"edge ({x},{y}) is an identity switch but the core neighborhoods overlap or miss vertices",
+                        f"edge ({x},{y}) is an identity switch but condition_i={r.condition_i} "
+                        f"condition_ii={r.condition_ii}",
                     ))
-            checks += 1
-            if not edge_removed_agreement(g, x, y):
-                found.append(Finding(
-                    "edge-removed-equivalence",
-                    to_graph6(g),
-                    ((1 << x) | (1 << y),),
-                    f"verdict for ({x},{y}) changes when the edge is deleted",
-                ))
-            checks += 1
-            if not complemented_core_agreement(g, x, y):
-                bad.append(
-                    f"complementing the core changed the verdict: {to_graph6(g)} edge ({x},{y})"
-                )
-        return checks, edges, direct, conds, agree, bad, found
-
-    for n, reps in _reps_upto(max_order):
-        outs = [work(g) for g in reps]
-        edges = sum(o[1] for o in outs)
-        direct = sum(o[2] for o in outs)
-        conds = sum(o[3] for o in outs)
-        agree = sum(o[4] for o in outs)
-        res.checks += sum(o[0] for o in outs)
-        for o in outs:
-            res.violations.extend(o[5])
-            res.findings.extend(o[6])
+                if r.direct:
+                    res.checks += 1
+                    if not core_neighborhoods_partition(g, x, y):
+                        res.findings.append(Finding(
+                            "core-partition",
+                            to_graph6(g),
+                            ((1 << x) | (1 << y),),
+                            f"edge ({x},{y}) is an identity switch but the core neighborhoods overlap or miss vertices",
+                        ))
+                res.checks += 1
+                if not edge_removed_agreement(g, x, y):
+                    res.findings.append(Finding(
+                        "edge-removed-equivalence",
+                        to_graph6(g),
+                        ((1 << x) | (1 << y),),
+                        f"verdict for ({x},{y}) changes when the edge is deleted",
+                    ))
+                res.checks += 1
+                if not complemented_core_agreement(g, x, y):
+                    res.violations.append(
+                        f"complementing the core changed the verdict: {to_graph6(g)} edge ({x},{y})"
+                    )
         rate = 100.0 * agree / edges if edges else 100.0
         res.lines.append(
             f"order {n}: {edges} edges, {direct} identity switches, "

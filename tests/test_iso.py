@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -108,6 +109,33 @@ def test_canonical_graph_is_a_class_representative():
     for pos, old in enumerate(lab):
         image[old] = pos
     assert relabel(g, tuple(image)) == rep
+
+
+def test_canonical_forms_pinned_at_orders_11_and_12():
+    # codes of 55 and 66 bits; no other test canonicalizes orders 11-12
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261112)
+    graphs = []
+    for i in range(16):
+        n = 11 + i % 2
+        p = 0.25 + 0.5 * rng.random()
+        graphs.append(make_graph(n, [(a, b) for b in range(n) for a in range(b) if rng.random() < p]))
+    h = hashlib.sha256()
+    for g in graphs:
+        cf = canonical_form(g)
+        h.update(cf.bits)
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, tuple(perm))) == cf
+        rep = canonical_graph(cf)
+        assert canonical_form(rep) == cf
+        a, b = nx.empty_graph(g.n), nx.empty_graph(rep.n)
+        a.add_edges_from(g.edges())
+        b.add_edges_from(rep.edges())
+        assert nx.is_isomorphic(a, b)
+    # sha256 of the bits, pinned from the earlier two-word implementation of the search
+    assert h.hexdigest() == "e7efb1fe840965ff565b2798960516600197565d3fa257daa38d5ceb36f3028d"
 
 
 def test_find_isomorphism_roundtrips():

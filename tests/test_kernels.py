@@ -10,7 +10,7 @@ from seidelkit import VertexSet, switch_set, make_graph
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, empty
 from seidelkit.graphs import graph_from_code, graph_to_code
-from seidelkit.iso import automorphisms, canonical_form, form_from_word
+from seidelkit.iso import _form, automorphisms, canonical_form
 
 
 def test_switch_orbit_scan_matches_switch_set():
@@ -24,13 +24,13 @@ def test_switch_orbit_scan_matches_switch_set():
             if rng.random() < 0.5
         ]
         g = make_graph(n, edges)
-        words = switch_orbit_scan(g.adj, n)
-        assert words.shape == (1 << (n - 1),)
-        assert form_from_word(n, int(words[0])) == canonical_form(g)
+        codes = switch_orbit_scan(g.adj, n)
+        assert len(codes) == 1 << (n - 1)
+        assert _form(n, codes[0]) == canonical_form(g)
         # slot k covers the even mask 2k; odd masks repeat by complement
         for k in range(1 << (n - 1)):
             h = switch_set(g, VertexSet(n, 2 * k))
-            assert form_from_word(n, int(words[k])) == canonical_form(h)
+            assert _form(n, codes[k]) == canonical_form(h)
 
 
 def _labeled_two_graphs(n):
@@ -76,13 +76,13 @@ def test_algebra_sweep_finds_no_violations():
 
 
 def test_census_scan_words_match_object_layer():
-    # the census reads words for every labeled order-4 graph off run_canon
+    # the census reads codes for every labeled order-4 graph off run_canon
     n = 4
     for code in range(1 << (n * (n - 1) // 2)):
         g = graph_from_code(n, code)
-        w0, w1, _, _, _ = run_canon(g.adj, n)
-        assert w1 == 0
-        assert canonical_form(g) == form_from_word(n, int(w0))
+        canon, _, _, _, _ = run_canon(g.adj, n)
+        assert canon >> (n * (n - 1) // 2) == 0
+        assert canonical_form(g) == _form(n, canon)
 
 
 def test_run_canon_agrees_with_canonical_form():
@@ -99,9 +99,10 @@ def test_run_canon_agrees_with_canonical_form():
         graphs.append(make_graph(n, edges))
     for g in graphs:
         n = g.n
-        w0, w1, count, bestlab, orbit = run_canon(g.adj, n)
-        assert w1 == 0  # orders below 12 fit the first word
-        assert form_from_word(n, int(w0)) == canonical_form(g)
+        code, bestlab, count, orbit, auts = run_canon(g.adj, n)
+        assert code >> (n * (n - 1) // 2) == 0  # one bit per vertex pair
+        assert auts == ()
+        assert _form(n, code) == canonical_form(g)
         assert count >= 1
         assert sorted(int(x) for x in bestlab) == list(range(n))
 
@@ -119,11 +120,14 @@ def _pinned_inputs():
 
 
 def test_search_outputs_are_pinned():
-    # words, tie count, labeling, orbit roots and automorphism order, not
-    # just the forms, must survive any rewrite of the search
+    # codes, tie count, labeling, orbit roots and automorphism order, not
+    # just the forms, must survive any rewrite of the search; the digest
+    # hashes each code as the two 63-bit words of its 126-bit left shift
     h = hashlib.sha256()
     for g in _pinned_inputs():
-        w0, w1, count, bestlab, orbit = run_canon(g.adj, g.n)
+        code, bestlab, count, orbit, _ = run_canon(g.adj, g.n)
+        wide = code << (126 - g.n * (g.n - 1) // 2)
+        w0, w1 = wide >> 63, wide & ((1 << 63) - 1)
         rec = (w0, w1, count, tuple(bestlab), tuple(orbit), automorphisms(g).elements)
         h.update(repr(rec).encode())
     assert h.hexdigest() == "b716ce72a763057495fa33a1c9fb5f31c696c627cccd48e80604cd098799501c"
