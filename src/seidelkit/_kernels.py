@@ -7,13 +7,16 @@ are numpy over a batch of graphs.  Helpers carry a leading underscore,
 so the unprefixed functions are the only entry points.
 
 Canonical labeling: iterative refinement of an ordered partition by
-neighbor counts, then depth-first backtracking over all discrete
+neighbor counts, then depth-first backtracking over the discrete
 refinements.  A leaf is a labeling; its code is the relabeled
 upper-triangle bit string as one int (graphs._upper_bits), in which
 integer order equals string order.  The canonical form is the minimum
-leaf code.  Leaves that tie the minimum are exactly the automorphisms,
-which the search counts, optionally keeps, and folds into a vertex
-orbit union-find.
+leaf code.  The search does not visit every leaf that ties it: a leaf
+matching the first or the best leaf yields an automorphism, and the
+automorphisms found so far prune the rest of the tree (McKay & Piperno,
+"Practical graph isomorphism, II", 2014).  The group order follows by
+orbit-stabilizer along the first path, and the vertex orbits by
+uniting the generators.
 """
 
 from __future__ import annotations
@@ -65,46 +68,101 @@ def _refine(rows, cells):
     return cells
 
 
-def _canon(rows, n, keep):
-    """One canonical search: (code, bestlab, count, orbit, automorphisms).
+def _fixing(gens, prefix):
+    # the generators that fix every vertex of prefix
+    return [g for g in gens if all(g[v] == v for v in prefix)]
 
-    code is the minimum leaf code.  The automorphisms, identity first,
-    are collected only when keep is set.
-    """
-    best = -1
-    count = 0
-    bestlab = ()
-    auts = []
+
+def _orbit_parent(n, gens):
     parent = list(range(n))
-    stack = [[list(range(n))]]
-    while stack:
-        cells = _refine(rows, stack.pop())
+    for g in gens:
+        for v in range(n):
+            if g[v] != v:
+                _union(parent, v, g[v])
+    return parent
+
+
+def _canon(rows, n):
+    """One canonical search: (code, bestlab, count, orbit, generators).
+
+    code is the minimum leaf code and bestlab the first leaf, in search
+    order, that reaches it.  Each leaf whose code equals the first or
+    the best leaf's gives an automorphism; the search then returns to
+    the node where the two leaf paths part, and it skips every child
+    that a generator fixing the node's path maps onto a child already
+    explored.  A skipped subtree is the automorphic image of one
+    explored earlier, so neither the minimum code nor its first leaf
+    can hide there.
+    """
+    first = best = None  # (code, lab, path) of a leaf
+    gens = []
+
+    def leaf(cells, path):
+        nonlocal first, best
+        lab = tuple(cell[0] for cell in cells)
+        code = _upper_bits(rows, lab)
+        if first is None:
+            first = best = (code, lab, path)
+            return None
+        for ref_code, ref_lab, ref_path in (first, best):
+            if code == ref_code:
+                gen = [0] * n
+                for p in range(n):
+                    gen[ref_lab[p]] = lab[p]
+                gens.append(tuple(gen))
+                depth = 0
+                while path[depth] == ref_path[depth]:
+                    depth += 1
+                return depth
+        if code < best[0]:
+            best = (code, lab, path)
+        return None
+
+    def visit(cells, path):
+        # returns None, or the depth of the node the search goes back to
+        cells = _refine(rows, cells)
         for ci, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            lab = tuple(cell[0] for cell in cells)
-            code = _upper_bits(rows, lab)
-            if best < 0 or code < best:
-                best, count, bestlab = code, 1, lab
-                parent[:] = range(n)
-                auts[:] = [tuple(range(n))] if keep else []
-            elif code == best:
-                count += 1
-                if keep:
-                    image = dict(zip(bestlab, lab))
-                    auts.append(tuple(image[v] for v in range(n)))
-                for p in range(n):
-                    _union(parent, bestlab[p], lab[p])
-            continue
-        # individualize each vertex of the first non-singleton cell in
-        # turn; pushed in reverse so that the search takes them in order
-        for k in reversed(range(len(cell))):
+            return leaf(cells, path)
+        depth = len(path)
+        explored = []
+        known = 0  # the number of generators parent was built from
+        for k, v in enumerate(cell):
+            if explored and gens:
+                if known < len(gens):
+                    known = len(gens)
+                    parent = _orbit_parent(n, _fixing(gens, path))
+                root = _find(parent, v)
+                if any(_find(parent, u) == root for u in explored):
+                    continue
+            explored.append(v)
+            # individualize v: it goes first in its own cell, the rest stays in order
             split = cell.copy()
-            split[0], split[k] = split[k], split[0]
-            stack.append(cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :])
+            split[0], split[k] = v, split[0]
+            back = visit(cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :], path + [v])
+            if back is not None and back < depth:
+                return back
+        return None
+
+    visit([list(range(n))], [])
+    # orbit-stabilizer along the first path: |Aut| is the product of the
+    # orbit sizes of each individualized vertex under the generators
+    # that fix the vertices individualized before it
+    count = 1
+    path = first[2]
+    for k, v in enumerate(path):
+        fixing = _fixing(gens, path[:k])
+        reach = [v]
+        for u in reach:
+            for g in fixing:
+                if g[u] not in reach:
+                    reach.append(g[u])
+        count *= len(reach)
+    parent = _orbit_parent(n, gens)
     orbit = tuple(_find(parent, v) for v in range(n))
-    return best, bestlab, count, orbit, tuple(auts)
+    return best[0], best[1], count, orbit, tuple(gens)
 
 
 def _switch(rows, smask, full):
@@ -128,9 +186,25 @@ def switch_orbit_scan(rows, n):
 
     Index k holds the code for subset mask 2k; odd masks are covered by
     complement equivalence.  Index 0 is the graph's own canonical code.
+    An automorphism s of the graph maps the switch by S onto the switch
+    by s(S), so only the least slot of each class under the generators
+    is searched and the rest copy its code.
     """
     full = (1 << n) - 1
-    return tuple(_canon(_switch(rows, k << 1, full), n, False)[0] for k in range(1 << (n - 1)))
+    half = 1 << (n - 1)
+    code, _, _, _, gens = _canon(rows, n)
+    parent = list(range(half))
+    for g in gens:
+        image = [0] * half  # image[k]: the mask g(2k)
+        for k in range(1, half):
+            low = k & -k
+            image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
+            _union(parent, k, (m ^ full if m & 1 else m) >> 1)
+    codes = [code]
+    for k in range(1, half):
+        root = _find(parent, k)
+        codes.append(codes[root] if root < k else _canon(_switch(rows, k << 1, full), n)[0])
+    return tuple(codes)
 
 
 def _triples(n):
@@ -229,13 +303,14 @@ def algebra_sweep(n):
     return (ncodes, checks, bad) + witness
 
 
-def run_canon(rows, n, automorphisms=False):
+def run_canon(rows, n):
     """Run the canonical search once on an int sequence of adjacency rows.
 
-    Returns (code, bestlab, aut_count, orbit, auts).  code is the
+    Returns (code, bestlab, aut_count, orbit, generators).  code is the
     canonical upper-triangle bit string as one int; bestlab maps new
-    label -> old vertex; orbit holds the automorphism orbit root of each
-    vertex; auts is the tuple of automorphisms (identity first, each as
-    image[v]) when automorphisms is set, else empty.
+    label -> old vertex; aut_count is the automorphism group order;
+    orbit holds the automorphism orbit root (least member) of each
+    vertex; generators is a tuple of automorphisms, each as image[v],
+    that generate the group (empty when it is trivial).
     """
-    return _canon(rows, n, automorphisms)
+    return _canon(rows, n)

@@ -93,20 +93,38 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    elements: tuple[Permutation, ...]
+    """A graph's automorphism group as generators and order.
+
+    Each permutation is a tuple image[v].  The elements are enumerated
+    only when asked for, by closing the generators under composition.
+    """
+
+    n: int
+    generators: tuple[Permutation, ...]
+    order: int
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted, so the identity comes first."""
+        found = {tuple(range(self.n))}
+        todo = list(found)
+        for p in todo:
+            for gen in self.generators:
+                q = tuple(gen[v] for v in p)
+                if q not in found:
+                    found.add(q)
+                    todo.append(q)
+        return tuple(sorted(found))
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
 
 def automorphisms(g: Graph) -> AutomorphismGroup:
-    """The full automorphism group, element by element."""
+    """The automorphism group of g: generators and order from one search."""
     _check_bound(g.n, AUTOMORPHISM_MAX_ORDER)
-    return AutomorphismGroup(_kernels.run_canon(g.adj, g.n, automorphisms=True)[4])
+    _, _, order, _, gens = _kernels.run_canon(g.adj, g.n)
+    return AutomorphismGroup(g.n, gens, order)
 
 
 def automorphism_count(g: Graph) -> int:

@@ -48,8 +48,9 @@ def iss_family(g: Graph) -> IssFamily:
     """Every identity switch of g, with the symmetric-difference verdict.
 
     The switch-orbit scan covers the subsets avoiding vertex 0 and the
-    complement map fills in the rest, so the cost is 2^(n-1) canonical
-    forms; switching_class on the same graph reuses the scan.
+    complement map fills in the rest, so the cost is at most 2^(n-1)
+    canonical forms, one per automorphism orbit of those subsets;
+    switching_class on the same graph reuses the scan.
     """
     n = g.n
     if n > ISS_FAMILY_MAX_ORDER:
@@ -159,20 +160,19 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
                 a_mask |= 1 << new
             if g.has_edge(y, old):
                 target &= ~(1 << new)
-        condition_ii = False
+        # breadth-first search of the orbit of a_mask under the
+        # generators of Aut(core): at most C(n - 2, |a_mask|) masks
+        orbit = {a_mask}
         if a_mask.bit_count() == target.bit_count():
-            for sigma in automorphisms(core).elements:
-                img = 0
-                m = a_mask
-                v = 0
-                while m:
-                    if m & 1:
-                        img |= 1 << sigma[v]
-                    m >>= 1
-                    v += 1
-                if img == target:
-                    condition_ii = True
-                    break
+            gens = automorphisms(core).generators
+            todo = [a_mask]
+            for m in todo:
+                for sigma in gens:
+                    img = sum(1 << sigma[v] for v in range(core.n) if m >> v & 1)
+                    if img not in orbit:
+                        orbit.add(img)
+                        todo.append(img)
+        condition_ii = target in orbit
     return EdgeIssReport(x, y, direct, condition_i, condition_ii)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -136,6 +137,46 @@ def test_canonical_forms_pinned_at_orders_11_and_12():
         assert nx.is_isomorphic(a, b)
     # sha256 of the bits, pinned from the earlier two-word implementation of the search
     assert h.hexdigest() == "e7efb1fe840965ff565b2798960516600197565d3fa257daa38d5ceb36f3028d"
+
+
+def test_most_symmetric_order_twelve_graphs_finish_quickly():
+    # the documented canonical bound, on inputs with the largest groups
+    f6 = math.factorial(6)
+    cases = ((complete(12), math.factorial(12)), (empty(12), math.factorial(12)),
+             (complete_bipartite(6, 6), 2 * f6 * f6))
+    for g, order in cases:
+        t = time.perf_counter()
+        canonical_form(g)
+        assert time.perf_counter() - t < 1.0
+        t = time.perf_counter()
+        assert automorphism_count(g) == order
+        assert time.perf_counter() - t < 1.0
+
+
+def test_automorphisms_and_forms_against_networkx():
+    nx = pytest.importorskip("networkx")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    graphs = st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])),
+            st.permutations(range(n)),
+        )
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(graphs)
+    def check(case):
+        n, edges, perm = case
+        g = make_graph(n, sorted(edges))
+        a = nx.empty_graph(n)
+        a.add_edges_from(edges)
+        isos = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(a, a).isomorphisms_iter())
+        assert automorphism_count(g) == isos
+        assert canonical_form(relabel(g, tuple(perm))) == canonical_form(g)
+
+    check()
 
 
 def test_find_isomorphism_roundtrips():

@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from seidelkit import VertexSet, from_graph6, make_graph, switch_set, switch_vertex
+from seidelkit import VertexSet, from_graph6, make_graph, relabel, switch_set, switch_vertex
 from seidelkit.generators import (
     complete,
     complete_bipartite,
@@ -212,6 +213,34 @@ def test_conditions_not_necessary_pinned_counterexample():
     assert not r.condition_ii
     assert not r.by_conditions
     assert not r.agree
+
+
+def test_condition_ii_matches_permutation_scan():
+    # the orbit search against every automorphism of the core, by brute force
+    for n in range(3, 7):
+        for g in nonisomorphic_graphs(n):
+            for x, y in g.edges():
+                rest = [v for v in range(n) if v not in (x, y)]
+                core = make_graph(n - 2, [(i, j) for j, v in enumerate(rest) for i, u in enumerate(rest[:j])
+                                          if g.has_edge(u, v)])
+                a = {i for i, v in enumerate(rest) if g.has_edge(x, v)}
+                t = {i for i, v in enumerate(rest) if not g.has_edge(y, v)}
+                want = any(relabel(core, p) == core and {p[i] for i in a} == t
+                           for p in itertools.permutations(range(n - 2)))
+                assert edge_iss_conditions(g, x, y).condition_ii == want
+
+
+def test_most_symmetric_order_ten_graph_finishes_quickly():
+    # the documented family bound, on the complete graph: the largest group
+    g = complete(10)
+    t = time.perf_counter()
+    fam = iss_family(g)
+    assert time.perf_counter() - t < 5.0
+    assert [s.mask for s in fam.members] == [0, (1 << 10) - 1]
+    t = time.perf_counter()
+    reports = [edge_iss_conditions(g, x, y) for x, y in g.edges()]
+    assert time.perf_counter() - t < 5.0
+    assert len(reports) == 45 and all(r.agree for r in reports)
 
 
 def test_core_partition_fails_even_when_conditions_hold():

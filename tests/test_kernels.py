@@ -6,15 +6,16 @@ import random
 
 import numpy as np
 
-from seidelkit import VertexSet, switch_set, make_graph
+from seidelkit import VertexSet, switch_set, make_graph, relabel
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
-from seidelkit.generators import complete, complete_bipartite, cube_q3, empty
+from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import graph_from_code, graph_to_code
 from seidelkit.iso import _form, automorphisms, canonical_form
 
 
 def test_switch_orbit_scan_matches_switch_set():
     rng = random.Random(31)
+    graphs = []
     for _ in range(10):
         n = rng.randint(2, 7)
         edges = [
@@ -23,7 +24,11 @@ def test_switch_orbit_scan_matches_switch_set():
             for j in range(i + 1, n)
             if rng.random() < 0.5
         ]
-        g = make_graph(n, edges)
+        graphs.append(make_graph(n, edges))
+    # symmetric graphs, whose scans copy codes along automorphism orbits
+    graphs += [empty(7), complete(7), complete_bipartite(3, 4), cube_q3(), cycle(8), prism_c3p2()]
+    for g in graphs:
+        n = g.n
         codes = switch_orbit_scan(g.adj, n)
         assert len(codes) == 1 << (n - 1)
         assert _form(n, codes[0]) == canonical_form(g)
@@ -99,9 +104,9 @@ def test_run_canon_agrees_with_canonical_form():
         graphs.append(make_graph(n, edges))
     for g in graphs:
         n = g.n
-        code, bestlab, count, orbit, auts = run_canon(g.adj, n)
+        code, bestlab, count, orbit, gens = run_canon(g.adj, n)
         assert code >> (n * (n - 1) // 2) == 0  # one bit per vertex pair
-        assert auts == ()
+        assert all(relabel(g, p) == g for p in gens)
         assert _form(n, code) == canonical_form(g)
         assert count >= 1
         assert sorted(int(x) for x in bestlab) == list(range(n))
@@ -120,14 +125,15 @@ def _pinned_inputs():
 
 
 def test_search_outputs_are_pinned():
-    # codes, tie count, labeling, orbit roots and automorphism order, not
-    # just the forms, must survive any rewrite of the search; the digest
-    # hashes each code as the two 63-bit words of its 126-bit left shift
+    # codes, group order, labeling, orbit roots and the automorphism set,
+    # not just the forms, must survive any rewrite of the search; the
+    # digest hashes each code as the two 63-bit words of its 126-bit left
+    # shift, and the automorphisms sorted, so no search order is pinned
     h = hashlib.sha256()
     for g in _pinned_inputs():
         code, bestlab, count, orbit, _ = run_canon(g.adj, g.n)
         wide = code << (126 - g.n * (g.n - 1) // 2)
         w0, w1 = wide >> 63, wide & ((1 << 63) - 1)
-        rec = (w0, w1, count, tuple(bestlab), tuple(orbit), automorphisms(g).elements)
+        rec = (w0, w1, count, tuple(bestlab), tuple(orbit), tuple(sorted(automorphisms(g).elements)))
         h.update(repr(rec).encode())
-    assert h.hexdigest() == "b716ce72a763057495fa33a1c9fb5f31c696c627cccd48e80604cd098799501c"
+    assert h.hexdigest() == "d4c12b1ea0f463a14610998682bd7fb9de2f75f9b82606f2ab847a499f2e1a01"
