@@ -153,13 +153,9 @@ def _canon(rows, n):
     count = 1
     path = first[2]
     for k, v in enumerate(path):
-        fixing = _fixing(gens, path[:k])
-        reach = [v]
-        for u in reach:
-            for g in fixing:
-                if g[u] not in reach:
-                    reach.append(g[u])
-        count *= len(reach)
+        parent = _orbit_parent(n, _fixing(gens, path[:k]))
+        root = _find(parent, v)
+        count *= sum(_find(parent, u) == root for u in range(n))
     parent = _orbit_parent(n, gens)
     orbit = tuple(_find(parent, v) for v in range(n))
     return best[0], best[1], count, orbit, tuple(gens)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .graph6 import to_graph6
-from .graphs import Graph, complement
+from .graphs import Graph, _check_bound, complement
 from .invariants import seidel_char_poly
 from .iso import (
     CanonicalForm,
@@ -57,8 +57,7 @@ def switching_class(g: Graph) -> SwitchingClass:
     The representative is the minimum member, so equal classes compare
     equal no matter which member seeded the scan.
     """
-    if g.n > SWITCHING_CLASS_MAX_ORDER:
-        raise ValueError(f"order {g.n} above supported bound {SWITCHING_CLASS_MAX_ORDER}")
+    _check_bound(g.n, SWITCHING_CLASS_MAX_ORDER)
     codes = sorted(set(_switch_orbit_codes(g)))
     members = frozenset(_form(g.n, c) for c in codes)
     return SwitchingClass(_form(g.n, codes[0]), members)
@@ -66,8 +65,7 @@ def switching_class(g: Graph) -> SwitchingClass:
 
 def check_complement_class(g: Graph) -> bool:
     """A graph and its complement must span switching classes of equal size."""
-    if g.n > COMPLEMENT_CLASS_MAX_ORDER:
-        raise ValueError(f"order {g.n} above supported bound {COMPLEMENT_CLASS_MAX_ORDER}")
+    _check_bound(g.n, COMPLEMENT_CLASS_MAX_ORDER)
     return switching_class(g).size == switching_class(complement(g)).size
 
 
@@ -90,8 +88,7 @@ class CensusRecord:
 def _check_census_order(n: int) -> None:
     if n < 1:
         raise ValueError("order must be positive")
-    if n > CENSUS_MAX_ORDER:
-        raise ValueError(f"order {n} above supported bound {CENSUS_MAX_ORDER}")
+    _check_bound(n, CENSUS_MAX_ORDER)
 
 
 def census(n: int) -> list[CensusRecord]:

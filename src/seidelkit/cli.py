@@ -64,7 +64,7 @@ def _output(path: str | None):
 
 
 def _mask_repr(n: int, mask: int) -> str:
-    bits = format(mask, f"0{n}b") if n else "0"
+    bits = format(mask, f"0{n}b")
     idx = ",".join(str(i) for i in range(n) if (mask >> i) & 1)
     return f"{bits} [{idx}]"
 

@@ -22,6 +22,11 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order must be an integer in 1..{MAX_ORDER}, got {n!r}")
 
 
+def _check_bound(n: int, bound: int) -> None:
+    if n > bound:
+        raise ValueError(f"order {n} above supported bound {bound}")
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """A subset of {0..n-1} stored as a bitmask with ambient order n."""

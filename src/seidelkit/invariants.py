@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .graphs import Graph
+import numpy as np
+
+from .graphs import Graph, _check_bound
 
 CHAR_POLY_MAX_ORDER = 16
 
@@ -20,31 +22,26 @@ def seidel_char_poly(g: Graph) -> tuple[int, ...]:
     """Characteristic polynomial of the Seidel matrix, exactly.
 
     Coefficients ascending (constant term first), leading coefficient 1.
-    Faddeev-LeVerrier recursion over Python integers; every division in
-    it is exact, which the remainder check enforces.  Invariant under
-    both relabeling and switching, hence constant on a switching class.
+    Faddeev-LeVerrier recursion, with numpy's matrix product over
+    Python integers (object arrays), so no entry can overflow; every
+    division in it is exact, which the remainder check enforces.
+    Invariant under both relabeling and switching, hence constant on a
+    switching class.
     """
     n = g.n
-    if n > CHAR_POLY_MAX_ORDER:
-        raise ValueError(f"order {n} above supported bound {CHAR_POLY_MAX_ORDER}")
-    s = seidel_matrix(g)
+    _check_bound(n, CHAR_POLY_MAX_ORDER)
+    s = np.array(seidel_matrix(g), dtype=object)
+    eye = np.identity(n, dtype=object)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = eye
     for k in range(1, n + 1):
-        am = [
-            [sum(s[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(am[i][i] for i in range(n))
-        q, r = divmod(tr, k)
+        am = s @ m
+        q, r = divmod(am.trace(), k)
         if r != 0:
             raise AssertionError("inexact trace division in char poly recursion")
-        ck = -q
-        coeffs[n - k] = ck
-        if k < n:
-            for i in range(n):
-                m[i] = [am[i][j] + (ck if i == j else 0) for j in range(n)]
+        coeffs[n - k] = -q
+        m = am - q * eye
     return tuple(coeffs)
 
 

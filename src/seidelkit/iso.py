@@ -15,20 +15,14 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from . import _kernels
-from .graphs import Graph, Permutation, _upper_rows, graph_from_code, relabel
+from .graphs import Graph, Permutation, _check_bound, _upper_rows, graph_from_code, relabel
 
 CANONICAL_MAX_ORDER = 12
-AUTOMORPHISM_MAX_ORDER = 10
 
 
 class CanonicalForm(NamedTuple):
     n: int
     bits: bytes
-
-
-def _check_bound(n: int, bound: int) -> None:
-    if n > bound:
-        raise ValueError(f"order {n} above supported bound {bound}")
 
 
 def _form(n: int, code: int) -> CanonicalForm:
@@ -38,13 +32,16 @@ def _form(n: int, code: int) -> CanonicalForm:
     return CanonicalForm(n, (code << (8 * nbytes - npairs)).to_bytes(nbytes, "big"))
 
 
-# Repeats come close together (within one query or one sweep step), so a
-# small cache keeps nearly every hit while its memory stays bounded.
+# The only call of the search in this module; every reader below takes
+# its answer from this record.  Repeats come close together (within one
+# query or one sweep step), so a small cache keeps nearly every hit
+# while its memory stays bounded.
 @lru_cache(maxsize=1 << 10)
-def _canon_record(g: Graph) -> tuple[CanonicalForm, Permutation]:
+def _canon_record(g: Graph) -> tuple:
+    """(form, labeling, |Aut|, orbit roots, generators) from one search."""
     _check_bound(g.n, CANONICAL_MAX_ORDER)
-    code, lab = _kernels.run_canon(g.adj, g.n)[:2]
-    return _form(g.n, code), lab
+    code, *rest = _kernels.run_canon(g.adj, g.n)
+    return (_form(g.n, code), *rest)
 
 
 # iss_family and switching_class scan the same graph in turn, so a few
@@ -95,48 +92,29 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
 class AutomorphismGroup:
     """A graph's automorphism group as generators and order.
 
-    Each permutation is a tuple image[v].  The elements are enumerated
-    only when asked for, by closing the generators under composition.
+    Each generator is a tuple image[v]; together they generate the
+    group, and order is its size.  The elements are not enumerated.
     """
 
     n: int
     generators: tuple[Permutation, ...]
     order: int
 
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted, so the identity comes first."""
-        found = {tuple(range(self.n))}
-        todo = list(found)
-        for p in todo:
-            for gen in self.generators:
-                q = tuple(gen[v] for v in p)
-                if q not in found:
-                    found.add(q)
-                    todo.append(q)
-        return tuple(sorted(found))
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
 
 def automorphisms(g: Graph) -> AutomorphismGroup:
     """The automorphism group of g: generators and order from one search."""
-    _check_bound(g.n, AUTOMORPHISM_MAX_ORDER)
-    _, _, order, _, gens = _kernels.run_canon(g.adj, g.n)
-    return AutomorphismGroup(g.n, gens, order)
+    rec = _canon_record(g)
+    return AutomorphismGroup(g.n, rec[4], rec[2])
 
 
 def automorphism_count(g: Graph) -> int:
-    """Group order alone, without storing elements."""
-    _check_bound(g.n, CANONICAL_MAX_ORDER)
-    return _kernels.run_canon(g.adj, g.n)[2]
+    """The automorphism group order, by orbit-stabilizer in the search."""
+    return _canon_record(g)[2]
 
 
 def similarity_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex orbits under the automorphism group, sorted by smallest member."""
-    _check_bound(g.n, AUTOMORPHISM_MAX_ORDER)
-    orbit = _kernels.run_canon(g.adj, g.n)[3]
+    orbit = _canon_record(g)[3]
     blocks: dict[int, list[int]] = {}
     for v in range(g.n):
         blocks.setdefault(orbit[v], []).append(v)

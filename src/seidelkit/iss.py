@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, VertexSet, induced_subgraph
+from .graphs import Graph, VertexSet, _check_bound, induced_subgraph
 from .iso import _switch_orbit_codes, automorphisms, canonical_form
 from .switching import switch_set
 
@@ -53,8 +53,7 @@ def iss_family(g: Graph) -> IssFamily:
     switching_class on the same graph reuses the scan.
     """
     n = g.n
-    if n > ISS_FAMILY_MAX_ORDER:
-        raise ValueError(f"order {n} above supported bound {ISS_FAMILY_MAX_ORDER}")
+    _check_bound(n, ISS_FAMILY_MAX_ORDER)
     codes = _switch_orbit_codes(g)
     full = (1 << n) - 1
     # slot k holds the even mask 2k, whose complement switches the same way

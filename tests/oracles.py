@@ -69,6 +69,19 @@ def brute_automorphism_count(g: Graph) -> int:
     return sum(1 for p in itertools.permutations(range(g.n)) if relabel(g, p) == g)
 
 
+def group_elements(group) -> tuple[tuple[int, ...], ...]:
+    """Every element of an AutomorphismGroup, sorted, by closing its generators."""
+    found = {tuple(range(group.n))}
+    todo = list(found)
+    for p in todo:
+        for gen in group.generators:
+            q = tuple(gen[v] for v in p)
+            if q not in found:
+                found.add(q)
+                todo.append(q)
+    return tuple(sorted(found))
+
+
 def sympy_seidel_poly(g: Graph) -> tuple[int, ...]:
     import sympy
 

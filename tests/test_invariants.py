@@ -48,6 +48,15 @@ def test_matches_symbolic_oracle_on_random_larger():
         assert seidel_char_poly(g) == oracles.sympy_seidel_poly(g)
 
 
+def test_matches_symbolic_oracle_at_the_order_bound():
+    rng = random.Random(1616)
+    n = CHAR_POLY_MAX_ORDER
+    g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+    poly = seidel_char_poly(g)
+    assert all(type(c) is int for c in poly)
+    assert poly == oracles.sympy_seidel_poly(g)
+
+
 def test_invariant_under_switching_and_relabeling():
     rng = random.Random(404)
     for _ in range(30):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import oracles
-from seidelkit import make_graph, relabel
+from seidelkit import _kernels, make_graph, relabel
 from seidelkit.generators import (
     complete,
     complete_bipartite,
@@ -20,8 +20,8 @@ from seidelkit.generators import (
 )
 from seidelkit.graphs import graph_from_code
 from seidelkit.iso import (
-    AUTOMORPHISM_MAX_ORDER,
     CANONICAL_MAX_ORDER,
+    _canon_record,
     all_graphs,
     automorphism_count,
     automorphisms,
@@ -66,7 +66,7 @@ def test_automorphism_counts_brute_force():
 def test_automorphism_elements_are_genuine_and_distinct():
     for g in (cycle(5), paw(), complete_bipartite(2, 3), prism_c3p2()):
         group = automorphisms(g)
-        elems = list(group)
+        elems = oracles.group_elements(group)
         assert len(elems) == group.order
         assert len(set(elems)) == group.order
         for p in elems:
@@ -232,7 +232,7 @@ def test_orbits_partition_and_respect_automorphisms():
         for b in blocks:
             for v in b:
                 index[v] = b
-        for p in automorphisms(g):
+        for p in oracles.group_elements(automorphisms(g)):
             for v in range(n):
                 assert index[p[v]] is index[v]
 
@@ -266,9 +266,35 @@ def test_order_bounds_enforced():
     with pytest.raises(ValueError):
         canonical_form(big)
     with pytest.raises(ValueError):
-        automorphisms(empty(AUTOMORPHISM_MAX_ORDER + 1))
+        automorphisms(big)
     with pytest.raises(ValueError):
-        similarity_orbits(empty(AUTOMORPHISM_MAX_ORDER + 1))
+        similarity_orbits(big)
+    # every reader accepts the search's own bound, even on the largest groups
+    _canon_record.cache_clear()
+    for g in (empty(CANONICAL_MAX_ORDER), complete(CANONICAL_MAX_ORDER)):
+        t = time.perf_counter()
+        assert automorphisms(g).order == math.factorial(CANONICAL_MAX_ORDER)
+        assert similarity_orbits(g) == (tuple(range(CANONICAL_MAX_ORDER)),)
+        assert time.perf_counter() - t < 1.0
+
+
+def test_one_search_answers_every_reader(monkeypatch):
+    calls = []
+    search = _kernels.run_canon
+
+    def counted(rows, n):
+        calls.append(n)
+        return search(rows, n)
+
+    monkeypatch.setattr(_kernels, "run_canon", counted)
+    _canon_record.cache_clear()
+    g = prism_c3p2()
+    canonical_form(g)
+    canonical_labeling(g)
+    automorphism_count(g)
+    similarity_orbits(g)
+    automorphisms(g)
+    assert calls == [g.n]
 
 
 def test_is_isomorphic_rejects_mixed_orders():
