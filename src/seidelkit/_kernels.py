@@ -2,9 +2,10 @@
 
 A graph of order n is a sequence of n Python ints in the layout of
 Graph.adj: bit j of rows[i] is set when {i, j} is an edge.  The search
-and the sweeps are plain Python over those ints; the two-graph kernels
-are numpy over a batch of graphs.  Helpers carry a leading underscore,
-so the unprefixed functions are the only entry points.
+and the switch-orbit scan are plain Python over those ints; the algebra
+sweep and the two-graph kernels are numpy over a batch of graphs.
+Helpers carry a leading underscore, so the unprefixed functions are the
+only entry points.
 
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over the discrete
@@ -166,17 +167,6 @@ def _switch(rows, smask, full):
     return [row ^ (opp if (smask >> i) & 1 else smask) for i, row in enumerate(rows)]
 
 
-def _complement(rows, full):
-    return [(row ^ full) & ~(1 << i) for i, row in enumerate(rows)]
-
-
-def _switch_vertex(rows, v, full):
-    bit = 1 << v
-    out = [row ^ bit for row in rows]
-    out[v] = rows[v] ^ (full & ~bit)
-    return out
-
-
 def switch_orbit_scan(rows, n):
     """Canonical code of the switch of rows by every even-mask subset, as a tuple.
 
@@ -246,6 +236,16 @@ def two_graph_orbits(graphs, n):
     return keys, sizes
 
 
+def _switch_pattern(n):
+    # pattern[s, i]: the mask that switching by subset s XORs into row i
+    s = np.arange(1 << n, dtype=np.int64)[:, None]
+    return np.where((s >> np.arange(n)) & 1, s ^ ((1 << n) - 1), s)
+
+
+# entries of the (graphs, s, t, row) stack that one block of the sweep holds
+_SWEEP_BLOCK = 1 << 14
+
+
 def algebra_sweep(n):
     """Exhaustive switching-identity sweep over every labeled graph of order n.
 
@@ -257,45 +257,66 @@ def algebra_sweep(n):
       kind 4    graph complement commutes with switching
       kind 5    switching by t then s equals switching by s xor t
 
+    Labeled graphs are taken in blocks of codes, each block against
+    every subset (and every pair of subsets) at once; a subset switch
+    XORs each row with its entry of _switch_pattern.
+
     Returns seven ints: graphs, checks, violations, then the first
-    witness as (code, s, t, kind), each -1 when unused.
+    witness as (code, s, t, kind), each -1 when unused.  The first
+    witness is the first failure in the order code, then s with kinds
+    0-4, then the (s, t) pairs of kind 5.
     """
     ncodes = 1 << (n * (n - 1) // 2)
     full = (1 << n) - 1
     nsub = 1 << n
-    checks = 0
-    bad = 0
+    subsets = np.arange(nsub)
+    bit = np.int64(1) << np.arange(n)
+    pattern = _switch_pattern(n)
+    # the switch at v alone: v's bit toggles in every other row, row v toggles all others
+    vertex = np.where(np.identity(n, dtype=bool), full ^ bit[:, None], bit[:, None])
+    steps = [np.where((subsets[:, None] >> v) & 1, vertex[v], 0) for v in range(n)]
+    # kind 2 applies to the empty and the full subset only
+    applies = np.ones((nsub, 5), dtype=bool)
+    applies[:, 2] = (subsets == 0) | (subsets == full)
+    per_graph = int(applies.sum()) + nsub * nsub
+
+    def same(x, y):
+        return (x == y).all(axis=-1)
+
+    def comp(x):
+        return (x ^ full) & ~bit
+
+    block = max(1, _SWEEP_BLOCK // (nsub * nsub * n))
+    checks = bad = 0
     witness = (-1, -1, -1, -1)
-    for code in range(ncodes):
-        g = list(graph_from_code(n, code).adj)
-        gc = _complement(g, full)
-        sw = [_switch(g, s, full) for s in range(nsub)]
-        for s in range(nsub):
-            a = sw[s]
-            asc = desc = g
-            for v in range(n):
-                if (s >> v) & 1:
-                    asc = _switch_vertex(asc, v, full)
-            for v in range(n - 1, -1, -1):
-                if (s >> v) & 1:
-                    desc = _switch_vertex(desc, v, full)
-            tests = [(0, a == asc), (1, a == desc)]
-            if s == 0 or s == full:
-                tests.append((2, a == g))
-            tests += [(3, a == sw[full ^ s]), (4, _complement(a, full) == _switch(gc, s, full))]
-            for kind, ok in tests:
-                checks += 1
-                if not ok:
-                    bad += 1
-                    if witness[0] < 0:
-                        witness = (code, s, -1, kind)
-        for s in range(nsub):
-            for t in range(nsub):
-                checks += 1
-                if _switch(sw[t], s, full) != sw[s ^ t]:
-                    bad += 1
-                    if witness[0] < 0:
-                        witness = (code, s, t, 5)
+    for lo in range(0, ncodes, block):
+        codes = range(lo, min(lo + block, ncodes))
+        g = np.array([graph_from_code(n, c).adj for c in codes], dtype=np.int64)[:, None, :]
+        sw = g ^ pattern  # sw[:, s]: each graph switched by s
+        asc = desc = g
+        for step in steps:
+            asc = asc ^ step
+        for step in reversed(steps):
+            desc = desc ^ step
+        fails = ~np.stack([
+            same(sw, asc),
+            same(sw, desc),
+            same(sw, g),
+            same(sw, sw[:, full ^ subsets]),
+            same(comp(sw), comp(g) ^ pattern),
+        ], axis=-1) & applies
+        # fails5[:, s, t]: sw[:, t] switched by s differs from sw[:, s ^ t]
+        fails5 = ~same(sw[:, None] ^ pattern[:, None], sw[:, subsets[:, None] ^ subsets])
+        checks += len(codes) * per_graph
+        bad += int(fails.sum()) + int(fails5.sum())
+        if bad and witness[0] < 0:
+            i = int((fails.any(axis=(1, 2)) | fails5.any(axis=(1, 2))).argmax())
+            if fails[i].any():
+                s, kind = np.unravel_index(fails[i].argmax(), fails[i].shape)
+                witness = (lo + i, int(s), -1, int(kind))
+            else:
+                s, t = np.unravel_index(fails5[i].argmax(), fails5[i].shape)
+                witness = (lo + i, int(s), int(t), 5)
     return (ncodes, checks, bad) + witness
 
 

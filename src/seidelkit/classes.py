@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .graph6 import to_graph6
 from .graphs import Graph, _check_bound, complement
-from .invariants import seidel_char_poly
+from .invariants import seidel_char_polys
 from .iso import (
     CanonicalForm,
     _form,
@@ -120,12 +120,11 @@ def census(n: int) -> list[CensusRecord]:
             raise AssertionError("class representative failed to re-canonicalize as its minimum")
         members = [_form(n, c) for c in sorted(counts)]
         covered.update(members)
-        poly = seidel_char_poly(rep)
-        labeled = 0
-        for m in map(canonical_graph, members):
-            if seidel_char_poly(m) != poly:
-                raise AssertionError("Seidel polynomial differs inside a switching class")
-            labeled += fact // automorphism_count(m)
+        graphs = [canonical_graph(m) for m in members]
+        poly, *polys = seidel_char_polys([rep, *graphs], n)
+        if any(p != poly for p in polys):
+            raise AssertionError("Seidel polynomial differs inside a switching class")
+        labeled = sum(fact // automorphism_count(m) for m in graphs)
         records.append(
             CensusRecord(
                 order=n,

@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .graphs import Graph, _check_bound
 
 CHAR_POLY_MAX_ORDER = 16
+
+
+def _int64_max_order() -> int:
+    # The eigenvalues of S lie in [-(n-1), n-1], so the k-th coefficient
+    # is at most C(n,k) (n-1)^k and the recursion's k-th matrix, a
+    # polynomial in S, has entries at most 2^n (n-1)^k.  Every entry,
+    # partial sum of a product and partial trace then stays below
+    # n * 2^n * (n-1)^n; int64 holds that through the order returned.
+    n = 1
+    while (n + 1) * 2 ** (n + 1) * n ** (n + 1) < 1 << 63:
+        n += 1
+    return n
+
+
+INT64_MAX_ORDER = _int64_max_order()
 
 
 def seidel_matrix(g: Graph) -> list[list[int]]:
@@ -18,31 +35,47 @@ def seidel_matrix(g: Graph) -> list[list[int]]:
     ]
 
 
+def seidel_char_polys(graphs: Sequence[Graph], n: int) -> list[tuple[int, ...]]:
+    """Characteristic polynomial of the Seidel matrix of each graph, exactly.
+
+    Every graph must have order n.  Coefficients ascend (constant term
+    first, leading coefficient 1) and are Python ints.  One
+    Faddeev-LeVerrier recursion runs on the whole B x n x n stack
+    S = J - I - 2A with numpy's matrix product: in int64 through order
+    INT64_MAX_ORDER, where no entry can overflow, and over Python ints
+    (object arrays) above it.  Every division in it is exact, which the
+    remainder check enforces.  The polynomial is invariant under both
+    relabeling and switching, hence constant on a switching class.
+    """
+    _check_bound(n, CHAR_POLY_MAX_ORDER)
+    if any(g.n != n for g in graphs):
+        raise ValueError(f"every graph must have order {n}")
+    dtype = np.int64 if n <= INT64_MAX_ORDER else object
+    rows = np.array([g.adj for g in graphs], dtype=np.int64).reshape(-1, n)
+    adj = (rows[:, :, None] >> np.arange(n)) & 1
+    eye = np.identity(n, dtype=np.int64)
+    s = (1 - eye - 2 * adj).astype(dtype)
+    coeffs = np.zeros((len(s), n + 1), dtype=dtype)
+    coeffs[:, n] = 1
+    m = eye.astype(dtype)  # matmul broadcasts it over the stack
+    for k in range(1, n + 1):
+        m = s @ m
+        diag = m.reshape(len(m), n * n)[:, :: n + 1]  # a view: writes reach m
+        trace = diag.sum(axis=1)
+        if (trace % k).any():
+            raise AssertionError("inexact trace division in char poly recursion")
+        q = trace // k
+        coeffs[:, n - k] = -q
+        diag -= q[:, None]
+    return [tuple(c) for c in coeffs.tolist()]  # tolist gives Python ints
+
+
 def seidel_char_poly(g: Graph) -> tuple[int, ...]:
     """Characteristic polynomial of the Seidel matrix, exactly.
 
-    Coefficients ascending (constant term first), leading coefficient 1.
-    Faddeev-LeVerrier recursion, with numpy's matrix product over
-    Python integers (object arrays), so no entry can overflow; every
-    division in it is exact, which the remainder check enforces.
-    Invariant under both relabeling and switching, hence constant on a
-    switching class.
+    A batch of one for seidel_char_polys; see there.
     """
-    n = g.n
-    _check_bound(n, CHAR_POLY_MAX_ORDER)
-    s = np.array(seidel_matrix(g), dtype=object)
-    eye = np.identity(n, dtype=object)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = eye
-    for k in range(1, n + 1):
-        am = s @ m
-        q, r = divmod(am.trace(), k)
-        if r != 0:
-            raise AssertionError("inexact trace division in char poly recursion")
-        coeffs[n - k] = -q
-        m = am - q * eye
-    return tuple(coeffs)
+    return seidel_char_polys([g], g.n)[0]
 
 
 def class_signature(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -41,7 +41,7 @@ from .generators import (
 )
 from .graph6 import from_graph6, to_graph6
 from .graphs import VertexSet, complement, relabel
-from .invariants import seidel_char_poly
+from .invariants import seidel_char_poly, seidel_char_polys
 from .iso import (
     automorphism_count,
     canonical_form,
@@ -226,19 +226,21 @@ def suite_invariants(max_order: int) -> SuiteResult:
         for idx, g in enumerate(reps):
             # seeded per graph, so each relabeling is fixed by (n, idx) alone
             rng = random.Random(f"{SEED}:{n}:{idx}")
-            poly = seidel_char_poly(g)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            # one batch: g, its even-mask switches, its relabeling
+            switched = [switch_set(g, VertexSet(n, half << 1)) for half in range(1 << (n - 1))]
+            poly, *moved, relabeled = seidel_char_polys([g, *switched, relabel(g, tuple(perm))], n)
             if poly[n] != 1 or poly[n - 1] != 0:
                 res.violations.append(f"leading/trace coefficient wrong: {to_graph6(g)}")
             polys += 1
-            for half in range(1 << (n - 1)):
+            for half, p in enumerate(moved):
                 polys += 1
-                if seidel_char_poly(switch_set(g, VertexSet(n, half << 1))) != poly:
+                if p != poly:
                     res.violations.append(f"polynomial moved under switch: {to_graph6(g)} mask {half << 1}")
                     break
-            perm = list(range(n))
-            rng.shuffle(perm)
             polys += 1
-            if seidel_char_poly(relabel(g, tuple(perm))) != poly:
+            if relabeled != poly:
                 res.violations.append(f"polynomial moved under relabeling: {to_graph6(g)}")
         res.checks += polys
         res.lines.append(

@@ -37,7 +37,7 @@ from seidelkit.generators import (
     tadpole,
 )
 from seidelkit.graphs import graph_from_code
-from seidelkit.invariants import seidel_char_poly
+from seidelkit.invariants import seidel_char_polys
 from seidelkit.iso import (
     canonical_form,
     is_isomorphic,
@@ -173,27 +173,28 @@ def test_agreement_sweeps_complete_and_deterministic():
     assert agree_lines
 
 
+def _assert_polynomial_switch_invariant(g):
+    # one batch per graph: g, then its switch by every even mask
+    n = g.n
+    switched = []
+    for mask in range(1 << n):
+        s = VertexSet(n, mask)
+        if mask & 1:
+            # odd masks give the same labeled graph as their complement
+            assert switch_set(g, s) == switch_set(g, s.complement())
+        else:
+            switched.append(switch_set(g, s))
+    poly, *polys = seidel_char_polys([g, *switched], n)
+    assert polys == [poly] * len(switched)
+
+
 def test_seidel_polynomial_invariant_under_all_switches():
     for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
-            poly = seidel_char_poly(g)
-            for mask in range(1 << n):
-                s = VertexSet(n, mask)
-                if mask & 1:
-                    # odd masks give the same labeled graph as their complement
-                    assert switch_set(g, s) == switch_set(g, s.complement())
-                else:
-                    assert seidel_char_poly(switch_set(g, s)) == poly
+            _assert_polynomial_switch_invariant(g)
     rng = random.Random(8861)
     for _ in range(200):
-        g = _random_graph(rng, 8)
-        poly = seidel_char_poly(g)
-        for mask in range(256):
-            s = VertexSet(8, mask)
-            if mask & 1:
-                assert switch_set(g, s) == switch_set(g, s.complement())
-            else:
-                assert seidel_char_poly(switch_set(g, s)) == poly
+        _assert_polynomial_switch_invariant(_random_graph(rng, 8))
 
 
 def test_complement_preserves_switching_class_size():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,13 @@ from seidelkit.classes import (
 from seidelkit.generators import complete, cycle, empty, path, paw
 from seidelkit.graphs import graph_from_code
 from seidelkit.invariants import seidel_char_poly
-from seidelkit.iso import canonical_form, canonical_graph, nonisomorphic_graphs
+from seidelkit.iso import (
+    _canon_record,
+    _switch_orbit_codes,
+    canonical_form,
+    canonical_graph,
+    nonisomorphic_graphs,
+)
 from seidelkit.iss import iss_family
 
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 7, 6: 16, 7: 54}
@@ -182,6 +189,20 @@ def test_order_bounds():
         check_complement_class(empty(COMPLEMENT_CLASS_MAX_ORDER + 1))
     with pytest.raises(ValueError):
         census(0)
+
+
+def test_most_symmetric_order_ten_classes_finish_quickly():
+    # K_n switches to K_k + K_(n-k), and the empty graph to K_(k,n-k):
+    # n // 2 + 1 members each, scanned with the largest groups of order 10
+    n = SWITCHING_CLASS_MAX_ORDER
+    for g in (complete(n), empty(n)):
+        _switch_orbit_codes.cache_clear()
+        _canon_record.cache_clear()
+        t = time.perf_counter()
+        sc = switching_class(g)
+        assert time.perf_counter() - t < 1.0
+        assert sc.size == n // 2 + 1
+        assert canonical_form(g) in sc
 
 
 def test_labeled_components_all_half_sized():

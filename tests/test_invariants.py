@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,8 +8,10 @@ from seidelkit import VertexSet, make_graph, relabel, switch_set
 from seidelkit.generators import complete, cycle, empty, path
 from seidelkit.invariants import (
     CHAR_POLY_MAX_ORDER,
+    INT64_MAX_ORDER,
     class_signature,
     seidel_char_poly,
+    seidel_char_polys,
     seidel_matrix,
 )
 from seidelkit.iso import nonisomorphic_graphs
@@ -107,3 +110,45 @@ def test_class_signature_carries_order():
 def test_order_bound():
     with pytest.raises(ValueError):
         seidel_char_poly(empty(CHAR_POLY_MAX_ORDER + 1))
+    with pytest.raises(ValueError):
+        seidel_char_polys([empty(CHAR_POLY_MAX_ORDER + 1)], CHAR_POLY_MAX_ORDER + 1)
+
+
+def test_int64_cut_off_follows_the_entry_bound():
+    # n * 2^n * (n-1)^n < 2^63 holds at the cut-off and fails one past it
+    n = INT64_MAX_ORDER
+    assert n == 12
+    assert n * 2**n * (n - 1) ** n < 2**63 <= (n + 1) * 2 ** (n + 1) * n ** (n + 1)
+
+
+@pytest.mark.parametrize("n", [INT64_MAX_ORDER, INT64_MAX_ORDER + 1])
+def test_batch_matches_symbolic_oracle_at_the_int64_cut_off(n):
+    # complete and empty graphs reach the spectral radius n - 1
+    rng = random.Random(1200 + n)
+    graphs = [complete(n), empty(n)]
+    for p in (0.2, 0.5, 0.8):
+        graphs.append(make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    polys = seidel_char_polys(graphs, n)
+    assert len(polys) == len(graphs)
+    for g, poly in zip(graphs, polys):
+        assert all(type(c) is int for c in poly)
+        assert poly == oracles.sympy_seidel_poly(g) == seidel_char_poly(g)
+
+
+def test_batch_refuses_a_graph_of_another_order():
+    with pytest.raises(ValueError):
+        seidel_char_polys([empty(4), empty(5)], 4)
+    with pytest.raises(ValueError):
+        seidel_char_polys([complete(3)], 4)
+    assert seidel_char_polys([], 5) == []
+
+
+def test_order_sixteen_finishes_quickly():
+    rng = random.Random(16)
+    n = CHAR_POLY_MAX_ORDER
+    graphs = [complete(n), empty(n), make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])]
+    for g in graphs:
+        t = time.perf_counter()
+        poly = seidel_char_poly(g)
+        assert time.perf_counter() - t < 1.0
+        assert len(poly) == n + 1 and poly[-1] == 1

@@ -246,6 +246,20 @@ def test_nonisomorphic_counts():
         assert len({canonical_form(g) for g in reps}) == want
 
 
+def test_representatives_match_the_networkx_atlas():
+    # the atlas lists every graph through order 7 once, by an independent route
+    nx = pytest.importorskip("networkx")
+    atlas = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n:
+            atlas[n].add(canonical_form(make_graph(n, list(h.edges()))))
+    for n in range(1, 8):
+        reps = nonisomorphic_graphs(n)
+        assert len(atlas[n]) == len(reps) == ISO_COUNTS[n]
+        assert {canonical_form(g) for g in reps} == atlas[n]
+
+
 def test_canonical_forms_of_all_labeled_graphs_count_the_classes():
     for n in range(1, 7):
         assert len({canonical_form(g) for g in all_graphs(n)}) == ISO_COUNTS[n]

@@ -8,6 +8,7 @@ import numpy as np
 
 import oracles
 from seidelkit import VertexSet, switch_set, make_graph, relabel
+from seidelkit import _kernels
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import graph_from_code, graph_to_code
@@ -73,12 +74,102 @@ def test_two_graph_bits_are_odd_triples():
         assert int(two_graphs([g.adj], n)[0]) == want
 
 
+def _loop_algebra_sweep(n, pattern):
+    # the sweep as one loop per graph and subset, in witness order: a
+    # subset switch XORs rows with pattern; the single-vertex switch and
+    # the complement are written out on their own
+    full = (1 << n) - 1
+    pat = [[int(x) for x in row] for row in pattern]
+
+    def switch(rows, s):
+        return [row ^ pat[s][i] for i, row in enumerate(rows)]
+
+    def switch_vertex(rows, v):
+        out = [row ^ (1 << v) for row in rows]
+        out[v] = rows[v] ^ (full & ~(1 << v))
+        return out
+
+    def comp(rows):
+        return [(row ^ full) & ~(1 << i) for i, row in enumerate(rows)]
+
+    ncodes = 1 << (n * (n - 1) // 2)
+    checks = bad = 0
+    witness = (-1, -1, -1, -1)
+    for code in range(ncodes):
+        g = list(graph_from_code(n, code).adj)
+        sw = [switch(g, s) for s in range(1 << n)]
+        for s, a in enumerate(sw):
+            asc = desc = g
+            for v in range(n):
+                if (s >> v) & 1:
+                    asc = switch_vertex(asc, v)
+            for v in reversed(range(n)):
+                if (s >> v) & 1:
+                    desc = switch_vertex(desc, v)
+            tests = [(0, a == asc), (1, a == desc)]
+            if s in (0, full):
+                tests.append((2, a == g))
+            tests += [(3, a == sw[full ^ s]), (4, comp(a) == switch(comp(g), s))]
+            for kind, ok in tests:
+                checks += 1
+                if not ok:
+                    bad += 1
+                    if witness[0] < 0:
+                        witness = (code, s, -1, kind)
+        for s in range(1 << n):
+            for t in range(1 << n):
+                checks += 1
+                if switch(sw[t], s) != sw[s ^ t]:
+                    bad += 1
+                    if witness[0] < 0:
+                        witness = (code, s, t, 5)
+    return (ncodes, checks, bad) + witness
+
+
 def test_algebra_sweep_finds_no_violations():
-    for n in range(1, 5):
+    # the check counts are pinned, and through order 4 the loop agrees
+    pinned = {1: 14, 2: 68, 3: 784, 4: 20_608, 5: 1_181_696}
+    for n in range(1, 6):
         out = algebra_sweep(n)
-        assert out[0] == 1 << (n * (n - 1) // 2)
-        assert out[1] > 0
-        assert out[2] == 0
+        assert all(type(x) is int for x in out)
+        assert out == (1 << (n * (n - 1) // 2), pinned[n], 0, -1, -1, -1, -1)
+        if n <= 4:
+            assert _loop_algebra_sweep(n, _kernels._switch_pattern(n)) == out
+
+
+def test_switch_pattern_matches_switch_set():
+    for n in range(1, 5):
+        pattern = _kernels._switch_pattern(n)
+        for code in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_code(n, code)
+            for s in range(1 << n):
+                rows = tuple(int(r ^ p) for r, p in zip(g.adj, pattern[s]))
+                assert rows == switch_set(g, VertexSet(n, s)).adj
+
+
+def test_algebra_sweep_reports_planted_faults_in_loop_order(monkeypatch):
+    rng = random.Random(2718)
+    planted = []
+    for n in range(1, 5):
+        full = (1 << n) - 1
+        for s in [0, full, 1, *(rng.randrange(1 << n) for _ in range(4))]:
+            pattern = _kernels._switch_pattern(n).copy()
+            pattern[s, rng.randrange(n)] ^= 1 << rng.randrange(n)
+            planted.append((n, pattern))
+    kinds = set()
+    default = _kernels._SWEEP_BLOCK
+    for n, pattern in planted:
+        monkeypatch.setattr(_kernels, "_switch_pattern", lambda _n, p=pattern: p)
+        want = _loop_algebra_sweep(n, pattern)
+        assert want[2] > 0
+        # one graph per block, then the default blocks
+        for size in (1, default):
+            monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", size)
+            assert algebra_sweep(n) == want
+        kinds.add(want[6])
+    # a fault shows first as a fold mismatch at its own subset, or as a
+    # complement mismatch at the smaller subset of its pair
+    assert kinds == {0, 3}
 
 
 def test_census_scan_words_match_object_layer():
