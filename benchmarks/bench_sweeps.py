@@ -3,21 +3,21 @@
 Times, in one process, the switching-algebra sweep `algebra_sweep(1..5)`,
 the invariants suite at order 6 and the exact Seidel polynomial per
 graph at orders 6, 8, 12, 13 and 16, both batched and as a batch of
-one.  Each timing is the median of --repeat runs.  The process's peak
-RSS (`ru_maxrss`) is recorded after each item, so a rise shows where it
-happened.  The batched and single polynomials are compared before they
-are timed.
+one.  Each timing is the median of REPEAT runs; the random graphs come
+from SEED.  The process's peak RSS (`ru_maxrss`) is recorded after each
+item, so a rise shows where it happened.  The batched and single
+polynomials are compared before they are timed.
 
 Run from the repository root:
 
     python benchmarks/bench_sweeps.py --label change
     python benchmarks/bench_sweeps.py --src OTHER_CHECKOUT/src --label parent
 
-Each run appends its record to the list under its label in --out
-(default benchmarks/BENCH_sweeps.json).  Alternate the labels over
-several runs: on a shared machine one process's timings can sit 30%
-off another's.  A checkout without `seidel_char_polys` gets null for
-the batched timings.
+Each run appends its record to the list under its label in
+benchmarks/BENCH_sweeps.json.  Alternate the labels over several runs:
+on a shared machine one process's timings can sit 30% off another's.
+A checkout without `seidel_char_polys` gets null for the batched
+timings.
 """
 
 from __future__ import annotations
@@ -35,11 +35,14 @@ import time
 
 # order -> number of seeded random graphs timed at that order
 POLY_GRAPHS = {6: 256, 8: 256, 12: 64, 13: 32, 16: 16}
+REPEAT = 5
+SEED = 1
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_sweeps.json")
 
 
-def _median_s(fn, repeat):
+def _median_s(fn):
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t)
@@ -59,32 +62,32 @@ def _commit(src):
     return out.stdout.strip()
 
 
-def measure(repeat, seed):
+def measure():
     import numpy as np
     from seidelkit import _kernels, invariants, make_graph, verify
 
     peak = {"import": _peak_rss_mb()}
     rec = {}
-    rec["algebra_sweep_1_5_s"] = _median_s(lambda: [_kernels.algebra_sweep(n) for n in range(1, 6)], repeat)
+    rec["algebra_sweep_1_5_s"] = _median_s(lambda: [_kernels.algebra_sweep(n) for n in range(1, 6)])
     peak["algebra_sweep"] = _peak_rss_mb()
     verify.suite_invariants(6)  # fills the representative caches once
-    rec["suite_invariants_6_s"] = _median_s(lambda: verify.suite_invariants(6), repeat)
+    rec["suite_invariants_6_s"] = _median_s(lambda: verify.suite_invariants(6))
     peak["suite_invariants"] = _peak_rss_mb()
 
     batched = getattr(invariants, "seidel_char_polys", None)
     single = invariants.seidel_char_poly
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     poly = {}
     for n, count in POLY_GRAPHS.items():
         graphs = [make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
                   for _ in range(count)]
         want = [single(g) for g in graphs]
         row = {"graphs": count, "batched_us": None}
-        row["batch_of_one_us"] = 1e6 * _median_s(lambda: [single(g) for g in graphs], repeat) / count
+        row["batch_of_one_us"] = 1e6 * _median_s(lambda: [single(g) for g in graphs]) / count
         if batched is not None:
-            if batched(graphs, n) != want:
+            if batched(graphs) != want:
                 raise SystemExit(f"batched and single polynomials differ at order {n}")
-            row["batched_us"] = 1e6 * _median_s(lambda: batched(graphs, n), repeat) / count
+            row["batched_us"] = 1e6 * _median_s(lambda: batched(graphs)) / count
         poly[str(n)] = row
     peak["polynomial"] = _peak_rss_mb()
     rec["seidel_char_poly_per_graph"] = poly
@@ -96,10 +99,7 @@ def measure(repeat, seed):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default="src", help="directory holding the seidelkit package")
-    ap.add_argument("--label", required=True, help="the list in --out this run's record joins")
-    ap.add_argument("--out", default=os.path.join(os.path.dirname(__file__), "BENCH_sweeps.json"))
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--label", required=True, help="the list in BENCH_sweeps.json this run's record joins")
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
@@ -108,17 +108,17 @@ def main(argv=None):
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "loadavg_1m": os.getloadavg()[0],
-        "repeat": args.repeat,
-        "seed": args.seed,
+        "repeat": REPEAT,
+        "seed": SEED,
     }
-    rec.update(measure(args.repeat, args.seed))
+    rec.update(measure())
     try:
-        with open(args.out) as f:
+        with open(OUT) as f:
             doc = json.load(f)
     except FileNotFoundError:
         doc = {"harness": "benchmarks/bench_sweeps.py", "units": "_s seconds, _us microseconds per graph, rss MiB", "runs": {}}
     doc["runs"].setdefault(args.label, []).append(rec)
-    with open(args.out, "w") as f:
+    with open(OUT, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     print(json.dumps({args.label: rec}, indent=2, sort_keys=True))

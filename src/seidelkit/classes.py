@@ -121,7 +121,7 @@ def census(n: int) -> list[CensusRecord]:
         members = [_form(n, c) for c in sorted(counts)]
         covered.update(members)
         graphs = [canonical_graph(m) for m in members]
-        poly, *polys = seidel_char_polys([rep, *graphs], n)
+        poly, *polys = seidel_char_polys([rep, *graphs])
         if any(p != poly for p in polys):
             raise AssertionError("Seidel polynomial differs inside a switching class")
         labeled = sum(fact // automorphism_count(m) for m in graphs)

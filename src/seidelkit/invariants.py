@@ -35,18 +35,22 @@ def seidel_matrix(g: Graph) -> list[list[int]]:
     ]
 
 
-def seidel_char_polys(graphs: Sequence[Graph], n: int) -> list[tuple[int, ...]]:
+def seidel_char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     """Characteristic polynomial of the Seidel matrix of each graph, exactly.
 
-    Every graph must have order n.  Coefficients ascend (constant term
-    first, leading coefficient 1) and are Python ints.  One
-    Faddeev-LeVerrier recursion runs on the whole B x n x n stack
-    S = J - I - 2A with numpy's matrix product: in int64 through order
-    INT64_MAX_ORDER, where no entry can overflow, and over Python ints
-    (object arrays) above it.  Every division in it is exact, which the
-    remainder check enforces.  The polynomial is invariant under both
-    relabeling and switching, hence constant on a switching class.
+    Every graph must have the order of the first; an empty batch gives
+    [].  Coefficients ascend (constant term first, leading coefficient 1)
+    and are Python ints.  One Faddeev-LeVerrier recursion runs on the
+    whole B x n x n stack S = J - I - 2A with numpy's matrix product: in
+    int64 through order INT64_MAX_ORDER, where no entry can overflow,
+    and over Python ints (object arrays) above it.  Every division in it
+    is exact, which the remainder check enforces.  The polynomial is
+    invariant under both relabeling and switching, hence constant on a
+    switching class.
     """
+    if not graphs:
+        return []
+    n = graphs[0].n
     _check_bound(n, CHAR_POLY_MAX_ORDER)
     if any(g.n != n for g in graphs):
         raise ValueError(f"every graph must have order {n}")
@@ -75,7 +79,7 @@ def seidel_char_poly(g: Graph) -> tuple[int, ...]:
 
     A batch of one for seidel_char_polys; see there.
     """
-    return seidel_char_polys([g], g.n)[0]
+    return seidel_char_polys([g])[0]
 
 
 def class_signature(g: Graph) -> tuple[int, tuple[int, ...]]:

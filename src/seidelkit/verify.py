@@ -230,7 +230,7 @@ def suite_invariants(max_order: int) -> SuiteResult:
             rng.shuffle(perm)
             # one batch: g, its even-mask switches, its relabeling
             switched = [switch_set(g, VertexSet(n, half << 1)) for half in range(1 << (n - 1))]
-            poly, *moved, relabeled = seidel_char_polys([g, *switched, relabel(g, tuple(perm))], n)
+            poly, *moved, relabeled = seidel_char_polys([g, *switched, relabel(g, tuple(perm))])
             if poly[n] != 1 or poly[n - 1] != 0:
                 res.violations.append(f"leading/trace coefficient wrong: {to_graph6(g)}")
             polys += 1

@@ -184,7 +184,7 @@ def _assert_polynomial_switch_invariant(g):
             assert switch_set(g, s) == switch_set(g, s.complement())
         else:
             switched.append(switch_set(g, s))
-    poly, *polys = seidel_char_polys([g, *switched], n)
+    poly, *polys = seidel_char_polys([g, *switched])
     assert polys == [poly] * len(switched)
 
 
