@@ -9,7 +9,14 @@ only entry points.
 
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over the discrete
-refinements.  A leaf is a labeling; its code is the relabeled
+refinements.  Each round counts neighbors only in the splitter cells:
+the cells the round before created, less the last part of each split
+(McKay, "Practical graph isomorphism", 1981).  The root's one splitter
+is the whole vertex set, so its first round splits by degree; a child
+that individualizes v starts from the splitter {v}.  Counts in the
+other cells are constant on every cell or follow from the splitter
+counts, so the ordered partition is the one that counting in every cell
+would give.  A leaf is a labeling; its code is the relabeled
 upper-triangle bit string as one int (graphs._upper_bits), in which
 integer order equals string order.  The canonical form is the minimum
 leaf code.  The search does not visit every leaf that ties it: a leaf
@@ -44,28 +51,46 @@ def _union(parent, a, b):
         parent[max(a, b)] = min(a, b)
 
 
-def _refine(rows, cells):
-    # Split every cell by neighbor counts against a snapshot of the
-    # current cells, subcells in stable signature order, until stable.
+def _refine(rows, cells, fresh):
+    # Split every cell by its neighbor counts in the splitter masks fresh,
+    # subcells in stable key order, until no cell splits.  fresh holds the
+    # cells the last round created, less the last part of each split, in
+    # partition order.  That gives the partition that counting in a
+    # snapshot of all current cells gives: each cell is equitable against
+    # the cells of the round before, so its count in an unsplit cell is
+    # constant, and its count in a split's last part is its count in the
+    # whole old cell less its counts in the other parts, which come
+    # earlier.  A coordinate that is constant, or fixed by earlier ones,
+    # never decides a comparison, so the order and the ties stay.  A key
+    # packs the counts into one int, width bits each, the first mask
+    # highest, so int order is tuple order.
     n = len(rows)
-    while len(cells) < n:
-        masks = [sum(1 << v for v in cell) for cell in cells]
+    width = n.bit_length()
+    while fresh and len(cells) < n:
         out = []
+        split = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            sig = {v: tuple((rows[v] & m).bit_count() for m in masks) for v in cell}
-            cell = sorted(cell, key=sig.__getitem__)
-            start = 0
-            for p in range(1, len(cell)):
-                if sig[cell[p]] != sig[cell[p - 1]]:
-                    out.append(cell[start:p])
-                    start = p
-            out.append(cell[start:])
-        if len(out) == len(cells):
-            return out
-        cells = out
+            buckets = {}
+            for v in cell:
+                row = rows[v]
+                key = 0
+                for m in fresh:
+                    key = key << width | (row & m).bit_count()
+                if key in buckets:
+                    buckets[key].append(v)
+                else:
+                    buckets[key] = [v]
+            if len(buckets) == 1:
+                out.append(cell)
+                continue
+            parts = [buckets[key] for key in sorted(buckets)]
+            out += parts
+            for part in parts[:-1]:
+                split.append(sum(1 << v for v in part))
+        cells, fresh = out, split
     return cells
 
 
@@ -119,9 +144,9 @@ def _canon(rows, n):
             best = (code, lab, path)
         return None
 
-    def visit(cells, path):
+    def visit(cells, path, fresh):
         # returns None, or the depth of the node the search goes back to
-        cells = _refine(rows, cells)
+        cells = _refine(rows, cells, fresh)
         for ci, cell in enumerate(cells):
             if len(cell) > 1:
                 break
@@ -142,12 +167,14 @@ def _canon(rows, n):
             # individualize v: it goes first in its own cell, the rest stays in order
             split = cell.copy()
             split[0], split[k] = v, split[0]
-            back = visit(cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :], path + [v])
+            back = visit(cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :], path + [v], [1 << v])
             if back is not None and back < depth:
                 return back
         return None
 
-    visit([list(range(n))], [])
+    visit([list(range(n))], [], [(1 << n) - 1])
+    if not gens:  # a trivial group: no orbit-stabilizer walk
+        return best[0], best[1], 1, tuple(range(n)), ()
     # orbit-stabilizer along the first path: |Aut| is the product of the
     # orbit sizes of each individualized vertex under the generators
     # that fix the vertices individualized before it

@@ -109,9 +109,15 @@ class SuiteResult:
         return self
 
 
-def _reps_upto(max_order: int, cap: int = SWEEP_CAP):
-    for n in range(1, min(max_order, cap) + 1):
+def _reps_upto(max_order: int):
+    for n in range(1, min(max_order, SWEEP_CAP) + 1):
         yield n, nonisomorphic_graphs(n)
+
+
+def _note_cap(res: SuiteResult, max_order: int) -> None:
+    # a suite whose exhaustive sweep stopped short of max_order says so
+    if max_order > SWEEP_CAP:
+        res.lines.append(f"exhaustive sweep capped at order {SWEEP_CAP}")
 
 
 def suite_algebra(max_order: int) -> SuiteResult:
@@ -207,6 +213,7 @@ def suite_iso(max_order: int) -> SuiteResult:
         res.checks += 1
         if not is_isomorphic(cycle(5), complement(cycle(5))):
             res.violations.append("5-cycle should be self-complementary")
+    _note_cap(res, max_order)
     return res.finish()
 
 
@@ -299,6 +306,7 @@ def suite_iss(max_order: int) -> SuiteResult:
         f"symmetric-difference closure fails for {closure_fails} graphs (findings); "
         f"degree-extremes premise held {premise} times"
     )
+    _note_cap(res, max_order)
     return res.finish()
 
 
@@ -356,8 +364,7 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
             f"order {n}: {edges} edges, {direct} identity switches, "
             f"{conds} by conditions, agreement {agree}/{edges} ({rate:.1f}%)"
         )
-    if max_order > SWEEP_CAP:
-        res.lines.append(f"exhaustive sweep capped at order {SWEEP_CAP}")
+    _note_cap(res, max_order)
     return res.finish()
 
 
@@ -405,6 +412,7 @@ def suite_classes(max_order: int) -> SuiteResult:
             res.violations.append("order-4 classes are not the three expected ones")
         else:
             res.lines.append("order 4: the three classes carry the path, the 4-cycle, and the complete graph")
+    _note_cap(res, max_order)
     return res.finish()
 
 

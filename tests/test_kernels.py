@@ -172,6 +172,73 @@ def test_algebra_sweep_reports_planted_faults_in_loop_order(monkeypatch):
     assert kinds == {0, 3}
 
 
+def _snapshot_refine(rows, cells):
+    # the reference refinement: split every cell by neighbor counts
+    # against a snapshot of all current cells, subcells in stable
+    # signature order, until stable
+    n = len(rows)
+    while len(cells) < n:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            sig = {v: tuple((rows[v] & m).bit_count() for m in masks) for v in cell}
+            cell = sorted(cell, key=sig.__getitem__)
+            start = 0
+            for p in range(1, len(cell)):
+                if sig[cell[p]] != sig[cell[p - 1]]:
+                    out.append(cell[start:p])
+                    start = p
+            out.append(cell[start:])
+        if len(out) == len(cells):
+            return out
+        cells = out
+    return cells
+
+
+def _refinement_inputs():
+    for n in range(1, 7):
+        for code in range(1 << (n * (n - 1) // 2)):
+            yield graph_from_code(n, code).adj
+    rng = random.Random(4242)
+    for n in range(7, 13):
+        for _ in range(60):
+            p = rng.random()
+            yield make_graph(n, [(a, b) for b in range(n) for a in range(b) if rng.random() < p]).adj
+
+
+def test_splitter_refinement_matches_snapshot_refinement():
+    # from the unit partition, and after each individualization of each
+    # non-singleton cell of the equitable partition it reaches, the
+    # splitter rule gives the reference's ordered partition
+    for rows in _refinement_inputs():
+        n = len(rows)
+        cells = _kernels._refine(rows, [list(range(n))], [(1 << n) - 1])
+        assert cells == _snapshot_refine(rows, [list(range(n))])
+        for ci, cell in enumerate(cells):
+            for k, v in enumerate(cell if len(cell) > 1 else ()):
+                split = cell.copy()
+                split[0], split[k] = v, split[0]
+                start = cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :]
+                assert _kernels._refine(rows, start, [1 << v]) == _snapshot_refine(rows, start)
+
+
+def test_search_matches_search_on_snapshot_refinement(monkeypatch):
+    rng = random.Random(99)
+    graphs = []
+    for g in [complete(12), empty(12), complete_bipartite(6, 6), cube_q3(), prism_c3p2()]:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            switched = switch_set(g, VertexSet(g.n, rng.randrange(1 << g.n)))
+            graphs += [relabel(g, tuple(perm)), relabel(switched, tuple(perm))]
+    got = [run_canon(g.adj, g.n) for g in graphs]
+    monkeypatch.setattr(_kernels, "_refine", lambda rows, cells, fresh: _snapshot_refine(rows, cells))
+    assert got == [run_canon(g.adj, g.n) for g in graphs]
+
+
 def test_census_scan_words_match_object_layer():
     # the census reads codes for every labeled order-4 graph off run_canon
     n = 4

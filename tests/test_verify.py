@@ -77,3 +77,16 @@ def test_single_suite_selection():
     results = verify.run_suites("classes", max_order=5)
     assert len(results) == 1
     assert results[0].suite == "classes"
+
+
+def test_capped_sweeps_say_so(monkeypatch):
+    # every suite whose exhaustive sweep stops at SWEEP_CAP prints the
+    # same line once max_order passes it, and never below it
+    monkeypatch.setattr(verify, "SWEEP_CAP", 4)
+    note = "exhaustive sweep capped at order 4"
+    for suite in ("iso", "iss", "edge-iss", "classes"):
+        assert note not in verify.run_suite(suite, max_order=4).lines
+        lines = verify.run_suite(suite, max_order=5).lines
+        assert lines[-1] == note
+        if suite != "classes":  # the census stops at CENSUS_MAX_ORDER instead
+            assert not any(line.startswith("order 5: ") for line in lines)
