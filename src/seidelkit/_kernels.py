@@ -22,9 +22,12 @@ integer order equals string order.  The canonical form is the minimum
 leaf code.  The search does not visit every leaf that ties it: a leaf
 matching the first or the best leaf yields an automorphism, and the
 automorphisms found so far prune the rest of the tree (McKay & Piperno,
-"Practical graph isomorphism, II", 2014).  The group order follows by
-orbit-stabilizer along the first path, and the vertex orbits by
-uniting the generators.
+"Practical graph isomorphism, II", 2014).  Orbits live in union-finds
+that only grow: a search frame unites each new generator that fixes
+its path once, and after the search one union-find walks the first
+path from its deepest level up, uniting the generators that fix each
+level's prefix.  It gives each level's orbit for the orbit-stabilizer
+product that is the group order, and ends holding the vertex orbits.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graphs import _upper_bits, graph_from_code
+from .graphs import _switch_rows, _upper_bits, graph_from_code
 
 
 def _find(parent, x):
@@ -49,6 +52,13 @@ def _union(parent, a, b):
     a, b = _find(parent, a), _find(parent, b)
     if a != b:
         parent[max(a, b)] = min(a, b)
+
+
+def _unite(parent, g):
+    # merge the orbits of the permutation g into the union-find parent
+    for v, w in enumerate(g):
+        if v != w:
+            _union(parent, v, w)
 
 
 def _refine(rows, cells, fresh):
@@ -92,20 +102,6 @@ def _refine(rows, cells, fresh):
                 split.append(sum(1 << v for v in part))
         cells, fresh = out, split
     return cells
-
-
-def _fixing(gens, prefix):
-    # the generators that fix every vertex of prefix
-    return [g for g in gens if all(g[v] == v for v in prefix)]
-
-
-def _orbit_parent(n, gens):
-    parent = list(range(n))
-    for g in gens:
-        for v in range(n):
-            if g[v] != v:
-                _union(parent, v, g[v])
-    return parent
 
 
 def _canon(rows, n):
@@ -154,12 +150,14 @@ def _canon(rows, n):
             return leaf(cells, path)
         depth = len(path)
         explored = []
-        known = 0  # the number of generators parent was built from
+        # orbits of the generators gens[:known] that fix path; only grows
+        parent, known = list(range(n)), 0
         for k, v in enumerate(cell):
             if explored and gens:
-                if known < len(gens):
-                    known = len(gens)
-                    parent = _orbit_parent(n, _fixing(gens, path))
+                for g in gens[known:]:
+                    if all(g[u] == u for u in path):
+                        _unite(parent, g)
+                known = len(gens)
                 root = _find(parent, v)
                 if any(_find(parent, u) == root for u in explored):
                     continue
@@ -177,21 +175,24 @@ def _canon(rows, n):
         return best[0], best[1], 1, tuple(range(n)), ()
     # orbit-stabilizer along the first path: |Aut| is the product of the
     # orbit sizes of each individualized vertex under the generators
-    # that fix the vertices individualized before it
-    count = 1
+    # that fix the vertices individualized before it.  A generator fixes
+    # path[:k] when the first path vertex it moves sits at level k or
+    # deeper (an automorphism fixing the whole path fixes its leaf, so
+    # every generator moves one), so one union-find walked deepest level
+    # first holds each level's orbits in turn, and all of them at the end.
     path = first[2]
-    for k, v in enumerate(path):
-        parent = _orbit_parent(n, _fixing(gens, path[:k]))
-        root = _find(parent, v)
+    levels = [[] for _ in path]
+    for g in gens:
+        levels[min(k for k, v in enumerate(path) if g[v] != v)].append(g)
+    count = 1
+    parent = list(range(n))
+    for k in reversed(range(len(path))):
+        for g in levels[k]:
+            _unite(parent, g)
+        root = _find(parent, path[k])
         count *= sum(_find(parent, u) == root for u in range(n))
-    parent = _orbit_parent(n, gens)
     orbit = tuple(_find(parent, v) for v in range(n))
     return best[0], best[1], count, orbit, tuple(gens)
-
-
-def _switch(rows, smask, full):
-    opp = full ^ smask
-    return [row ^ (opp if (smask >> i) & 1 else smask) for i, row in enumerate(rows)]
 
 
 def switch_orbit_scan(rows, n):
@@ -216,7 +217,7 @@ def switch_orbit_scan(rows, n):
     codes = [code]
     for k in range(1, half):
         root = _find(parent, k)
-        codes.append(codes[root] if root < k else _canon(_switch(rows, k << 1, full), n)[0])
+        codes.append(codes[root] if root < k else _canon(_switch_rows(rows, k << 1), n)[0])
     return tuple(codes)
 
 

@@ -246,6 +246,16 @@ def _upper_rows(n: int, code: int) -> list[int]:
     return rows
 
 
+def _switch_rows(rows, mask: int) -> list[int]:
+    """rows switched by the vertex subset mask.
+
+    Row i is XORed with the mask of the opposite side, so exactly the
+    pairs crossing between the subset and its complement toggle.
+    """
+    opp = mask ^ ((1 << len(rows)) - 1)
+    return [row ^ (opp if (mask >> i) & 1 else mask) for i, row in enumerate(rows)]
+
+
 def _reversed_bits(code: int, width: int) -> int:
     # bit t of the LSB-first code is bit width-1-t of the upper-triangle string
     return int(format(code, f"0{width}b")[::-1], 2)

@@ -18,6 +18,8 @@ from . import _kernels
 from .graphs import Graph, Permutation, _check_bound, _upper_rows, graph_from_code, relabel
 
 CANONICAL_MAX_ORDER = 12
+# one switch-orbit scan searches up to 2^(n-1) switches of its graph
+SWITCH_SCAN_MAX_ORDER = 10
 
 
 class CanonicalForm(NamedTuple):
@@ -45,9 +47,11 @@ def _canon_record(g: Graph) -> tuple:
 
 
 # iss_family and switching_class scan the same graph in turn, so a few
-# entries catch the repeat.
+# entries catch the repeat.  Every scan of the package comes through here,
+# so this is where its order bound is checked.
 @lru_cache(maxsize=16)
 def _switch_orbit_codes(g: Graph) -> tuple[int, ...]:
+    _check_bound(g.n, SWITCH_SCAN_MAX_ORDER)
     return _kernels.switch_orbit_scan(g.adj, g.n)
 
 

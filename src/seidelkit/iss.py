@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, VertexSet, _check_bound, induced_subgraph
+from .graphs import Graph, VertexSet, induced_subgraph
 from .iso import _switch_orbit_codes, automorphisms, canonical_form
 from .switching import switch_set
-
-ISS_FAMILY_MAX_ORDER = 10
 
 
 def is_iss(g: Graph, s: VertexSet) -> bool:
@@ -53,7 +51,6 @@ def iss_family(g: Graph) -> IssFamily:
     switching_class on the same graph reuses the scan.
     """
     n = g.n
-    _check_bound(n, ISS_FAMILY_MAX_ORDER)
     codes = _switch_orbit_codes(g)
     full = (1 << n) - 1
     # slot k holds the even mask 2k, whose complement switches the same way

@@ -3,6 +3,8 @@
 Switching by a subset S toggles every adjacency between S and its
 complement and leaves both sides internally untouched.  The subset form
 is the primitive; single-vertex and sequence switching delegate to it.
+The row rule itself is graphs._switch_rows, which the switch-orbit scan
+in _kernels shares.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Graph, VertexSet, complement
+from .graphs import Graph, VertexSet, _switch_rows, complement
 
 
 def _check_ambient(g: Graph, s: VertexSet) -> None:
@@ -21,17 +23,11 @@ def _check_ambient(g: Graph, s: VertexSet) -> None:
 def switch_set(g: Graph, s: VertexSet) -> Graph:
     """Switch g by the subset s.
 
-    Row i is XORed with the mask of the opposite side, so exactly the
-    crossing pairs toggle.  Switching by the empty set or the full set
-    is the identity.
+    Exactly the pairs crossing between s and its complement toggle, so
+    switching by the empty set or the full set is the identity.
     """
     _check_ambient(g, s)
-    m = s.mask
-    opp = m ^ ((1 << g.n) - 1)
-    rows = tuple(
-        row ^ (opp if (m >> i) & 1 else m) for i, row in enumerate(g.adj)
-    )
-    return Graph(g.n, rows)
+    return Graph(g.n, tuple(_switch_rows(g.adj, s.mask)))
 
 
 def switch_vertex(g: Graph, v: int) -> Graph:

@@ -104,6 +104,13 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def check(self, ok: bool, msg: str) -> bool:
+        """Count one pass/fail check; a failure records msg as a violation."""
+        self.checks += 1
+        if not ok:
+            self.violations.append(msg)
+        return ok
+
     def finish(self) -> "SuiteResult":
         self.findings.sort(key=Finding.sort_key)
         return self
@@ -138,16 +145,14 @@ def suite_algebra(max_order: int) -> SuiteResult:
     rng = random.Random(SEED)
     for n in range(2, min(max_order, 5) + 1):
         for g in nonisomorphic_graphs(n):
+            g6 = to_graph6(g)
             for _ in range(4):
                 seq = [rng.randrange(n) for _ in range(rng.randrange(1, 7))]
                 parity = 0
                 for v in seq:
                     parity ^= 1 << v
-                res.checks += 1
-                if switch_sequence(g, seq) != switch_set(g, VertexSet(n, parity)):
-                    res.violations.append(
-                        f"sequence fold failed: {to_graph6(g)} seq {seq}"
-                    )
+                res.check(switch_sequence(g, seq) == switch_set(g, VertexSet(n, parity)),
+                          f"sequence fold failed: {g6} seq {seq}")
     res.lines.append("vertex-sequence folds agree with one-shot subset switches")
     return res.finish()
 
@@ -156,63 +161,51 @@ def suite_iso(max_order: int) -> SuiteResult:
     res = SuiteResult("iso")
     rng = random.Random(SEED)
     for n, reps in _reps_upto(max_order):
-        relabels = 0
+        relabels = labeled = 0
         fact = math.factorial(n)
         for g in reps:
+            g6 = to_graph6(g)
             cf = canonical_form(g)
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 relabels += 1
-                res.checks += 1
-                if canonical_form(relabel(g, tuple(perm))) != cf:
-                    res.violations.append(f"canonical form not relabeling-invariant: {to_graph6(g)}")
+                res.check(canonical_form(relabel(g, tuple(perm))) == cf,
+                          f"canonical form not relabeling-invariant: {g6}")
             # orbit-stabilizer: group order divides n!, orbit sizes divide group order
             order = automorphism_count(g)
-            res.checks += 1
-            if fact % order:
-                res.violations.append(f"automorphism count {order} does not divide {n}!: {to_graph6(g)}")
+            res.check(fact % order == 0, f"automorphism count {order} does not divide {n}!: {g6}")
             for orb in similarity_orbits(g):
-                res.checks += 1
-                if order % len(orb):
-                    res.violations.append(f"orbit size {len(orb)} does not divide group order: {to_graph6(g)}")
+                res.check(order % len(orb) == 0, f"orbit size {len(orb)} does not divide group order: {g6}")
+            labeled += fact // order
         res.lines.append(f"order {n}: {len(reps)} classes, {relabels} relabelings checked")
         # counting identity: sum over classes of n!/|Aut| = number of labeled graphs
-        labeled = sum(fact // automorphism_count(g) for g in reps)
-        res.checks += 1
-        if labeled != 1 << (n * (n - 1) // 2):
-            res.violations.append(f"labeled count identity failed at order {n}: {labeled}")
+        res.check(labeled == 1 << (n * (n - 1) // 2),
+                  f"labeled count identity failed at order {n}: {labeled}")
     # same-orbit vertices always switch to isomorphic graphs
     pairs = 0
     for n, reps in _reps_upto(min(max_order, 6)):
         for g in reps:
+            g6 = to_graph6(g)
             for orb in similarity_orbits(g):
                 u = orb[0]
                 gu = switch_vertex(g, u)
                 for v in orb[1:]:
                     pairs += 1
-                    res.checks += 1
-                    if not is_isomorphic(gu, switch_vertex(g, v)):
-                        res.violations.append(
-                            f"same-orbit switches differ: {to_graph6(g)} vertices {u},{v}"
-                        )
+                    res.check(is_isomorphic(gu, switch_vertex(g, v)),
+                              f"same-orbit switches differ: {g6} vertices {u},{v}")
     res.lines.append(f"same-orbit switch agreement: {pairs} vertex pairs")
     if max_order >= 6:
         t = tadpole(3, 4)
         h1, h3 = switch_vertex(t, 1), switch_vertex(t, 3)
         orbs = similarity_orbits(t)
         o1 = next(o for o in orbs if 1 in o)
-        res.checks += 1
-        if is_isomorphic(h1, h3) and 3 not in o1:
+        if res.check(is_isomorphic(h1, h3) and 3 not in o1, "tadpole converse-failure fixture broke"):
             res.lines.append(
                 "tadpole(3,4): vertices 1 and 3 switch to isomorphic graphs from distinct orbits"
             )
-        else:
-            res.violations.append("tadpole converse-failure fixture broke")
     if max_order >= 5:
-        res.checks += 1
-        if not is_isomorphic(cycle(5), complement(cycle(5))):
-            res.violations.append("5-cycle should be self-complementary")
+        res.check(is_isomorphic(cycle(5), complement(cycle(5))), "5-cycle should be self-complementary")
     _note_cap(res, max_order)
     return res.finish()
 
@@ -225,9 +218,7 @@ def suite_invariants(max_order: int) -> SuiteResult:
         (complete(3), (2, -3, 0, 1)),
     ]
     for g, want in fixtures:
-        res.checks += 1
-        if seidel_char_poly(g) != want:
-            res.violations.append(f"pinned polynomial wrong for {to_graph6(g)}")
+        res.check(seidel_char_poly(g) == want, f"pinned polynomial wrong for {to_graph6(g)}")
     for n, reps in _reps_upto(min(max_order, 6)):
         polys = 0
         for idx, g in enumerate(reps):
@@ -264,43 +255,38 @@ def suite_iss(max_order: int) -> SuiteResult:
     for n, reps in _reps_upto(max_order):
         fams = [iss_family(g) for g in reps]
         for g, fam in zip(reps, fams):
+            g6 = to_graph6(g)
             masks = {m.mask for m in fam.members}
             full = (1 << n) - 1
-            res.checks += 2
-            if 0 not in masks or full not in masks:
-                res.violations.append(f"trivial switches missing from family: {to_graph6(g)}")
-            if any((m ^ full) not in masks for m in masks):
-                res.violations.append(f"family not complement-closed: {to_graph6(g)}")
+            res.check(0 in masks and full in masks, f"trivial switches missing from family: {g6}")
+            res.check(all((m ^ full) in masks for m in masks), f"family not complement-closed: {g6}")
             # spot-check the scan against the direct predicate on both sides
             sample = rng.sample(sorted(masks), min(3, len(masks)))
             non = [m for m in range(1 << n) if m not in masks]
             sample += rng.sample(non, min(3, len(non)))
             for m in sample:
-                res.checks += 1
-                if is_iss(g, VertexSet(n, m)) != (m in masks):
-                    res.violations.append(f"family scan disagrees with direct check: {to_graph6(g)} mask {m}")
+                res.check(is_iss(g, VertexSet(n, m)) == (m in masks),
+                          f"family scan disagrees with direct check: {g6} mask {m}")
             if not fam.closed_under_delta:
                 closure_fails += 1
                 a, b, c = fam.witness
                 res.findings.append(Finding(
                     "iss-family-delta-closure",
-                    to_graph6(g),
+                    g6,
                     (a.mask, b.mask, c.mask),
                     f"members {a.mask} and {b.mask} have symmetric difference {c.mask} outside the family",
                 ))
             # singleton verdicts constant on automorphism orbits
             vset = vertex_iss_set(g).mask
             for orb in similarity_orbits(g):
-                res.checks += 1
                 hits = [v for v in orb if (vset >> v) & 1]
-                if hits and len(hits) != len(orb):
-                    res.violations.append(f"orbit with mixed singleton verdicts: {to_graph6(g)} orbit {orb}")
+                res.check(not hits or len(hits) == len(orb),
+                          f"orbit with mixed singleton verdicts: {g6} orbit {orb}")
             verdict = degree_extremes_adjacent(g)
             if verdict is not None:
                 premise += 1
-                res.checks += 1
-                if verdict is not True:
-                    res.violations.append(f"degree extremes not adjacent despite all-singleton premise: {to_graph6(g)}")
+                res.check(verdict is True,
+                          f"degree extremes not adjacent despite all-singleton premise: {g6}")
         res.lines.append(f"order {n}: {len(reps)} families enumerated")
     res.lines.append(
         f"symmetric-difference closure fails for {closure_fails} graphs (findings); "
@@ -315,24 +301,22 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
     for n, reps in _reps_upto(max_order):
         edges = direct = conds = agree = 0
         for g in reps:
+            g6 = to_graph6(g)
             for (x, y) in g.edges():
                 edges += 1
                 r = edge_iss_conditions(g, x, y)
-                res.checks += 1
                 if r.direct:
                     direct += 1
                 if r.by_conditions:
                     conds += 1
                 if r.agree:
                     agree += 1
-                if r.by_conditions and not r.direct:
-                    res.violations.append(
-                        f"conditions held but switch not isomorphic: {to_graph6(g)} edge ({x},{y})"
-                    )
+                res.check(r.direct or not r.by_conditions,
+                          f"conditions held but switch not isomorphic: {g6} edge ({x},{y})")
                 if r.direct and not r.by_conditions:
                     res.findings.append(Finding(
                         "edge-iss-conditions-necessity",
-                        to_graph6(g),
+                        g6,
                         ((1 << x) | (1 << y),),
                         f"edge ({x},{y}) is an identity switch but condition_i={r.condition_i} "
                         f"condition_ii={r.condition_ii}",
@@ -342,7 +326,7 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
                     if not core_neighborhoods_partition(g, x, y):
                         res.findings.append(Finding(
                             "core-partition",
-                            to_graph6(g),
+                            g6,
                             ((1 << x) | (1 << y),),
                             f"edge ({x},{y}) is an identity switch but the core neighborhoods overlap or miss vertices",
                         ))
@@ -350,15 +334,12 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
                 if not edge_removed_agreement(g, x, y):
                     res.findings.append(Finding(
                         "edge-removed-equivalence",
-                        to_graph6(g),
+                        g6,
                         ((1 << x) | (1 << y),),
                         f"verdict for ({x},{y}) changes when the edge is deleted",
                     ))
-                res.checks += 1
-                if not complemented_core_agreement(g, x, y):
-                    res.violations.append(
-                        f"complementing the core changed the verdict: {to_graph6(g)} edge ({x},{y})"
-                    )
+                res.check(complemented_core_agreement(g, x, y),
+                          f"complementing the core changed the verdict: {g6} edge ({x},{y})")
         rate = 100.0 * agree / edges if edges else 100.0
         res.lines.append(
             f"order {n}: {edges} edges, {direct} identity switches, "
@@ -370,19 +351,17 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
 
 def suite_classes(max_order: int) -> SuiteResult:
     res = SuiteResult("classes")
+    class_counts = {}
     for n in range(1, min(max_order, CENSUS_MAX_ORDER) + 1):
         recs = census(n)
+        class_counts[n] = len(recs)
         iso_total = sum(r.iso_class_count for r in recs)
-        lab_total = sum(r.labeled_count for r in recs)
-        res.checks += 3
-        if iso_total != len(nonisomorphic_graphs(n)):
-            res.violations.append(f"census does not cover the isomorphism classes at order {n}")
-        if lab_total != 1 << (n * (n - 1) // 2):
-            res.violations.append(f"census labeled counts wrong at order {n}")
-        dual = census_labeled_components(n)
+        res.check(iso_total == len(nonisomorphic_graphs(n)),
+                  f"census does not cover the isomorphism classes at order {n}")
+        res.check(sum(r.labeled_count for r in recs) == 1 << (n * (n - 1) // 2),
+                  f"census labeled counts wrong at order {n}")
         mine = {canonical_form(from_graph6(r.rep_g6)): r.labeled_count for r in recs}
-        if mine != dual:
-            res.violations.append(f"dual census routes disagree at order {n}")
+        res.check(mine == census_labeled_components(n), f"dual census routes disagree at order {n}")
         res.lines.append(
             f"order {n}: {len(recs)} switching classes over {iso_total} isomorphism classes; "
             f"labeled counts cross-checked by vertex-switch components"
@@ -392,25 +371,19 @@ def suite_classes(max_order: int) -> SuiteResult:
     for n, reps in _reps_upto(min(max_order, 6)):
         for g in reps:
             pairs += 1
-            res.checks += 1
-            if not check_complement_class(g):
-                res.violations.append(f"complement class size differs: {to_graph6(g)}")
+            res.check(check_complement_class(g), f"complement class size differs: {to_graph6(g)}")
     res.lines.append(f"complement-class sizes agree for {pairs} graphs")
     # no self-complementary graph when the pair count is odd
     for n in (2, 3, 6, 7):
         if n > min(max_order, SWEEP_CAP):
             continue
-        res.checks += 1
-        if any(is_isomorphic(g, complement(g)) for g in nonisomorphic_graphs(n)):
-            res.violations.append(f"unexpected self-complementary graph at order {n}")
+        res.check(not any(is_isomorphic(g, complement(g)) for g in nonisomorphic_graphs(n)),
+                  f"unexpected self-complementary graph at order {n}")
         res.lines.append(f"order {n}: no self-complementary graph, classes pair up under complement")
     if max_order >= 4:
-        recs = census(4)
-        res.checks += 1
         got = {switching_class(g).representative for g in (path(4), cycle(4), complete(4))}
-        if len(recs) != 3 or len(got) != 3:
-            res.violations.append("order-4 classes are not the three expected ones")
-        else:
+        if res.check(class_counts[4] == 3 and len(got) == 3,
+                     "order-4 classes are not the three expected ones"):
             res.lines.append("order 4: the three classes carry the path, the 4-cycle, and the complete graph")
     _note_cap(res, max_order)
     return res.finish()
@@ -418,50 +391,44 @@ def suite_classes(max_order: int) -> SuiteResult:
 
 def suite_constructions(max_order: int) -> SuiteResult:
     res = SuiteResult("constructions")
-
-    def check(cond: bool, msg: str):
-        res.checks += 1
-        if not cond:
-            res.violations.append(msg)
-
     if max_order >= 4:
         g = paw()
-        check(sorted(switch_vertex(g, 0).edges()) == [(0, 3), (1, 2), (2, 3)],
-              "paw switched at 0 gave the wrong edges")
+        res.check(sorted(switch_vertex(g, 0).edges()) == [(0, 3), (1, 2), (2, 3)],
+                  "paw switched at 0 gave the wrong edges")
         res.lines.append("paw switched at vertex 0 reproduces the pinned edge set")
     if max_order >= 5:
-        check(switch_vertex(star(5), 0) == empty(5), "star center switch should empty the graph")
+        res.check(switch_vertex(star(5), 0) == empty(5), "star center switch should empty the graph")
         for g, where in ((path(5), 2), (path_with_isolated(3, 2), 1)):
-            check(list(vertex_iss_set(g).indices()) == [where],
-                  f"unique singleton identity switch wrong for {to_graph6(g)}")
+            res.check(list(vertex_iss_set(g).indices()) == [where],
+                      f"unique singleton identity switch wrong for {to_graph6(g)}")
         res.lines.append("order-5 fixtures: unique singleton identity switches sit at the centers")
-        check(not is_iss(cycle(5), VertexSet.singleton(5, 0)),
-              "5-cycle singleton should not be an identity switch")
+        res.check(not is_iss(cycle(5), VertexSet.singleton(5, 0)),
+                  "5-cycle singleton should not be an identity switch")
     if max_order >= 5:
         g = complete_bipartite(2, 3)
-        check(sorted(vertex_iss_set(g).indices()) == [2, 3, 4],
-              "complete bipartite 2+3: singleton identity switches should be the larger part")
+        res.check(sorted(vertex_iss_set(g).indices()) == [2, 3, 4],
+                  "complete bipartite 2+3: singleton identity switches should be the larger part")
     for n in range(1, 4):
         if 2 * n + 1 > max_order:
             break
         g = complete_bipartite(n, n + 1)
-        check(sorted(vertex_iss_set(g).indices()) == list(range(n, 2 * n + 1)),
-              f"complete bipartite {n}+{n+1}: wrong singleton set")
+        res.check(sorted(vertex_iss_set(g).indices()) == list(range(n, 2 * n + 1)),
+                  f"complete bipartite {n}+{n+1}: wrong singleton set")
     if max_order >= 6:
         g = complete(6)
         h = switch_set(g, VertexSet.from_indices(6, (0, 1, 2)))
-        check(sorted(h.edges()) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)],
-              "complete graph switched by a triple should leave two triangles")
+        res.check(sorted(h.edges()) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)],
+                  "complete graph switched by a triple should leave two triangles")
         p = prism_c3p2()
         for (x, y) in p.edges():
             in_triangle = any(p.has_edge(x, z) and p.has_edge(y, z) for z in range(6))
-            check(edge_iss_direct(p, x, y) == (not in_triangle),
-                  f"prism edge ({x},{y}) identity-switch verdict wrong")
+            res.check(edge_iss_direct(p, x, y) == (not in_triangle),
+                      f"prism edge ({x},{y}) identity-switch verdict wrong")
         res.lines.append("prism: cross edges are identity switches, triangle edges are not")
     if max_order >= 8:
         q = cube_q3()
-        check(all(not edge_iss_direct(q, x, y) for (x, y) in q.edges()),
-              "cube should have no edge identity switch")
+        res.check(all(not edge_iss_direct(q, x, y) for (x, y) in q.edges()),
+                  "cube should have no edge identity switch")
         res.lines.append("cube: no edge identity switches (degree sums fall short)")
     kmn = 0
     for m in range(1, 5):
@@ -471,8 +438,8 @@ def suite_constructions(max_order: int) -> SuiteResult:
             g = complete_bipartite(m, n2)
             for (x, y) in g.edges():
                 kmn += 1
-                check(edge_iss_direct(g, x, y),
-                      f"complete bipartite {m}+{n2} edge ({x},{y}) should be an identity switch")
+                res.check(edge_iss_direct(g, x, y),
+                          f"complete bipartite {m}+{n2} edge ({x},{y}) should be an identity switch")
     if kmn:
         res.lines.append(f"complete bipartite blocks: all {kmn} edges are identity switches")
     hj = 0
@@ -486,14 +453,14 @@ def suite_constructions(max_order: int) -> SuiteResult:
                     amask = VertexSet(m + n2, (1 << m) - 1)
                     hj += 1
                     cross = sum(1 for (u, v) in g.edges() if (u < m) != (v < m))
-                    check(cross == m * n2 // 2, f"half join {m},{n2} cross edge count off")
-                    check(is_iss(g, amask) and is_iss(g, amask.complement()),
-                          f"half join {m},{n2} a_complete={ac} b_complete={bc}: blocks must be identity switches")
+                    res.check(cross == m * n2 // 2, f"half join {m},{n2} cross edge count off")
+                    res.check(is_iss(g, amask) and is_iss(g, amask.complement()),
+                              f"half join {m},{n2} a_complete={ac} b_complete={bc}: blocks must be identity switches")
     if hj:
         res.lines.append(f"half-join: both blocks verified as identity switches in {hj} variants")
     if max_order >= 4:
-        check(is_isomorphic(half_join(2, 2, True, True), cycle(4)),
-              "half join of two complete pairs should be the 4-cycle")
+        res.check(is_isomorphic(half_join(2, 2, True, True), cycle(4)),
+                  "half join of two complete pairs should be the 4-cycle")
     ppc = 0
     for p in range(1, 5):
         if p + 2 > max_order:
@@ -501,11 +468,11 @@ def suite_constructions(max_order: int) -> SuiteResult:
         for k in range(p + 1):
             g = path_plus_clique(p, k)
             ppc += 1
-            check(edge_iss_direct(g, 0, 1),
-                  f"clique-attached edge should be an identity switch (p={p}, split {k})")
+            res.check(edge_iss_direct(g, 0, 1),
+                      f"clique-attached edge should be an identity switch (p={p}, split {k})")
             block = VertexSet(p + 2, ((1 << (p + 2)) - 1) ^ 0b11)
-            check(is_iss(g, block),
-                  f"clique block should be an identity switch (p={p}, split {k})")
+            res.check(is_iss(g, block),
+                      f"clique block should be an identity switch (p={p}, split {k})")
     if ppc:
         res.lines.append(f"edge-plus-clique: edge and block verified in {ppc} splits")
     return res.finish()

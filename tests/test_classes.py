@@ -7,8 +7,6 @@ import pytest
 from seidelkit import VertexSet, complement, from_graph6, make_graph, switch_set
 from seidelkit.classes import (
     CENSUS_MAX_ORDER,
-    COMPLEMENT_CLASS_MAX_ORDER,
-    SWITCHING_CLASS_MAX_ORDER,
     census,
     census_labeled_components,
     check_complement_class,
@@ -18,6 +16,7 @@ from seidelkit.generators import complete, cycle, empty, path, paw
 from seidelkit.graphs import graph_from_code
 from seidelkit.invariants import seidel_char_poly
 from seidelkit.iso import (
+    SWITCH_SCAN_MAX_ORDER,
     _canon_record,
     _switch_orbit_codes,
     canonical_form,
@@ -182,19 +181,20 @@ def test_complement_class_sizes_agree():
 
 def test_order_bounds():
     with pytest.raises(ValueError):
-        switching_class(empty(SWITCHING_CLASS_MAX_ORDER + 1))
+        switching_class(empty(SWITCH_SCAN_MAX_ORDER + 1))
     with pytest.raises(ValueError):
         census(CENSUS_MAX_ORDER + 1)
     with pytest.raises(ValueError):
-        check_complement_class(empty(COMPLEMENT_CLASS_MAX_ORDER + 1))
+        check_complement_class(empty(SWITCH_SCAN_MAX_ORDER + 1))
     with pytest.raises(ValueError):
         census(0)
 
 
 def test_most_symmetric_order_ten_classes_finish_quickly():
     # K_n switches to K_k + K_(n-k), and the empty graph to K_(k,n-k):
-    # n // 2 + 1 members each, scanned with the largest groups of order 10
-    n = SWITCHING_CLASS_MAX_ORDER
+    # n // 2 + 1 members each, scanned with the largest groups of order 10;
+    # the complement check scans each graph and its complement
+    n = SWITCH_SCAN_MAX_ORDER
     for g in (complete(n), empty(n)):
         _switch_orbit_codes.cache_clear()
         _canon_record.cache_clear()
@@ -203,6 +203,11 @@ def test_most_symmetric_order_ten_classes_finish_quickly():
         assert time.perf_counter() - t < 1.0
         assert sc.size == n // 2 + 1
         assert canonical_form(g) in sc
+        _switch_orbit_codes.cache_clear()
+        _canon_record.cache_clear()
+        t = time.perf_counter()
+        assert check_complement_class(g)
+        assert time.perf_counter() - t < 1.0
 
 
 def test_labeled_components_all_half_sized():

@@ -17,9 +17,8 @@ from seidelkit.generators import (
     prism_c3p2,
     tadpole,
 )
-from seidelkit.iso import is_isomorphic, nonisomorphic_graphs, similarity_orbits
+from seidelkit.iso import SWITCH_SCAN_MAX_ORDER, is_isomorphic, nonisomorphic_graphs, similarity_orbits
 from seidelkit.iss import (
-    ISS_FAMILY_MAX_ORDER,
     all_vertices_iss,
     complemented_core_agreement,
     core_neighborhoods_partition,
@@ -272,4 +271,4 @@ def test_complemented_core_agreement_on_small_graphs():
 
 def test_family_order_bound():
     with pytest.raises(ValueError):
-        iss_family(empty(ISS_FAMILY_MAX_ORDER + 1))
+        iss_family(empty(SWITCH_SCAN_MAX_ORDER + 1))

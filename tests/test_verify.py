@@ -6,6 +6,17 @@ import pytest
 from seidelkit import verify
 
 
+def test_suite_result_check_counts_and_records_failures():
+    res = verify.SuiteResult("unit")
+    assert res.check(True, "never recorded") is True
+    assert res.checks == 1 and not res.violations and res.ok
+    assert res.check(False, "first failure") is False
+    res.check(False, "second failure")
+    assert res.checks == 3
+    assert res.violations == ["first failure", "second failure"]
+    assert not res.ok
+
+
 def test_every_suite_passes_at_small_order():
     results = verify.run_suites("all", max_order=4)
     assert [r.suite for r in results] == list(verify.SUITES)
