@@ -1,9 +1,9 @@
-"""Layer timings for the two sweeps of `verify` that run no canonical search.
+"""Layer timings for the sweeps of `verify` and the exact Seidel polynomial.
 
 Times, in one process, the switching-algebra sweep `algebra_sweep(1..5)`,
-the invariants suite at order 6 and the exact Seidel polynomial per
-graph at orders 6, 8, 12, 13 and 16, both batched and as a batch of
-one.  Each timing is the median of REPEAT runs; the random graphs come
+the invariants and classes suites at order 6 and the exact Seidel
+polynomial per graph at orders 6, 8, 12, 13 and 16, both batched and as
+a batch of one.  Each timing is the median of REPEAT runs; the random graphs come
 from SEED.  The process's peak RSS (`ru_maxrss`) is recorded after each
 item, so a rise shows where it happened.  The batched and single
 polynomials are compared before they are timed.
@@ -73,6 +73,9 @@ def measure():
     verify.suite_invariants(6)  # fills the representative caches once
     rec["suite_invariants_6_s"] = _median_s(lambda: verify.suite_invariants(6))
     peak["suite_invariants"] = _peak_rss_mb()
+    verify.suite_classes(6)
+    rec["suite_classes_6_s"] = _median_s(lambda: verify.suite_classes(6))
+    peak["suite_classes"] = _peak_rss_mb()
 
     batched = getattr(invariants, "seidel_char_polys", None)
     single = invariants.seidel_char_poly

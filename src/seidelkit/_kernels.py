@@ -265,9 +265,9 @@ def two_graph_orbits(graphs, n):
 
 
 def _switch_pattern(n):
-    # pattern[s, i]: the mask that switching by subset s XORs into row i
-    s = np.arange(1 << n, dtype=np.int64)[:, None]
-    return np.where((s >> np.arange(n)) & 1, s ^ ((1 << n) - 1), s)
+    # pattern[s, i]: the mask that switching by subset s XORs into row i,
+    # which is row i of the empty graph switched by s
+    return np.array([_switch_rows([0] * n, s) for s in range(1 << n)], dtype=np.int64)
 
 
 # entries of the (graphs, s, t, row) stack that one block of the sweep holds

@@ -2,10 +2,13 @@
 
 Two labeled graphs are switching-equivalent when some subset switch
 carries one to the other; folding in isomorphism gives the classes
-counted here.  The census walks the isomorphism-class representatives
-with one switch-orbit scan per class; a second route groups the same
-representatives by their two-graphs, without any canonical search, so
-the labeled counts cross-check each other.
+counted here.  switching_class lists one graph's class with one
+switch-orbit scan.  The census walks the isomorphism-class
+representatives with one such scan per class; a second route groups
+the same representatives by their two-graphs, without any canonical
+search, so the labeled counts cross-check each other.  That a graph
+and its complement span classes of equal size is checked in verify's
+classes suite, which likewise scans each class once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .graph6 import to_graph6
-from .graphs import Graph, _check_bound, complement
+from .graphs import Graph, _check_bound
 from .invariants import seidel_char_polys
 from .iso import (
     CanonicalForm,
@@ -58,11 +61,6 @@ def switching_class(g: Graph) -> SwitchingClass:
     codes = sorted(set(_switch_orbit_codes(g)))
     members = frozenset(_form(g.n, c) for c in codes)
     return SwitchingClass(_form(g.n, codes[0]), members)
-
-
-def check_complement_class(g: Graph) -> bool:
-    """A graph and its complement must span switching classes of equal size."""
-    return switching_class(g).size == switching_class(complement(g)).size
 
 
 @dataclass(frozen=True)

@@ -149,12 +149,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def vertex_set(self, *indices: int) -> VertexSet:
-        return VertexSet.from_indices(self.n, indices)
-
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges coalesce."""

@@ -101,10 +101,14 @@ def degree_extremes_adjacent(g: Graph) -> Optional[bool]:
     return True
 
 
-def edge_iss_direct(g: Graph, x: int, y: int) -> bool:
-    """Is switching by the edge pair {x, y} an identity switch?"""
+def _check_edge(g: Graph, x: int, y: int) -> None:
     if not g.has_edge(x, y):
         raise ValueError(f"({x}, {y}) is not an edge")
+
+
+def edge_iss_direct(g: Graph, x: int, y: int) -> bool:
+    """Is switching by the edge pair {x, y} an identity switch?"""
+    _check_edge(g, x, y)
     return is_iss(g, VertexSet.from_indices(g.n, (x, y)))
 
 
@@ -140,8 +144,7 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
     maps the core neighbors of x onto the core non-neighbors of y.  For
     order 2 the core is empty and the condition holds vacuously.
     """
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
+    _check_edge(g, x, y)
     n = g.n
     direct = edge_iss_direct(g, x, y)
     condition_i = g.degree(x) + g.degree(y) == n
@@ -174,8 +177,7 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
 
 def core_neighborhoods_partition(g: Graph, x: int, y: int) -> bool:
     """Do the core neighbors of x and of y split the core with no overlap?"""
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
+    _check_edge(g, x, y)
     rest = ((1 << g.n) - 1) & ~(1 << x) & ~(1 << y)
     a = g.adj[x] & rest
     b = g.adj[y] & rest
@@ -188,8 +190,7 @@ def edge_removed_agreement(g: Graph, x: int, y: int) -> bool:
     Compares the verdict for {x, y} on g with the verdict for the same
     pair on g minus the edge.  Agreement is measured, not assumed.
     """
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
+    _check_edge(g, x, y)
     rows = list(g.adj)
     rows[x] &= ~(1 << y)
     rows[y] &= ~(1 << x)
@@ -204,8 +205,7 @@ def complemented_core_agreement(g: Graph, x: int, y: int) -> bool:
     Builds g with all adjacencies away from x and y flipped (the two
     stars stay put, the edge xy stays put) and compares verdicts.
     """
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
+    _check_edge(g, x, y)
     n = g.n
     rest = ((1 << n) - 1) & ~(1 << x) & ~(1 << y)
     rows = list(g.adj)

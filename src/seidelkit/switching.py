@@ -4,15 +4,16 @@ Switching by a subset S toggles every adjacency between S and its
 complement and leaves both sides internally untouched.  The subset form
 is the primitive; single-vertex and sequence switching delegate to it.
 The row rule itself is graphs._switch_rows, which the switch-orbit scan
-in _kernels shares.
+and the algebra sweep's switch pattern in _kernels share; that sweep
+checks the textbook identities (symmetric difference, complement of the
+set, complement of the graph) on every labeled graph through order 5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .graphs import Graph, VertexSet, _switch_rows, complement
+from .graphs import Graph, VertexSet, _switch_rows
 
 
 def _check_ambient(g: Graph, s: VertexSet) -> None:
@@ -45,36 +46,3 @@ def switch_sequence(g: Graph, vs: Iterable[int]) -> Graph:
     for v in vs:
         h = switch_vertex(h, v)
     return h
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of an identity check; carries the two differing graphs on failure."""
-
-    ok: bool
-    left: Optional[Graph] = None
-    right: Optional[Graph] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _compare(left: Graph, right: Graph) -> CheckResult:
-    if left == right:
-        return CheckResult(True)
-    return CheckResult(False, left, right)
-
-
-def check_symmetric_difference(g: Graph, s: VertexSet, t: VertexSet) -> CheckResult:
-    """Switching by t then by s equals one switch by the symmetric difference."""
-    return _compare(switch_set(switch_set(g, t), s), switch_set(g, s ^ t))
-
-
-def check_complement_switch(g: Graph, s: VertexSet) -> CheckResult:
-    """Switching by s and by its complement give the same labeled graph."""
-    return _compare(switch_set(g, s), switch_set(g, s.complement()))
-
-
-def check_complement_commutes(g: Graph, s: VertexSet) -> CheckResult:
-    """Graph complement commutes with switching."""
-    return _compare(complement(switch_set(g, s)), switch_set(complement(g), s))

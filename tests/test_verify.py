@@ -3,7 +3,10 @@ from collections import Counter
 
 import pytest
 
-from seidelkit import verify
+from seidelkit import complement, to_graph6, verify
+from seidelkit.classes import SwitchingClass
+from seidelkit.generators import empty
+from seidelkit.iso import canonical_form, nonisomorphic_graphs
 
 
 def test_suite_result_check_counts_and_records_failures():
@@ -101,3 +104,27 @@ def test_capped_sweeps_say_so(monkeypatch):
         assert lines[-1] == note
         if suite != "classes":  # the census stops at CENSUS_MAX_ORDER instead
             assert not any(line.startswith("order 5: ") for line in lines)
+
+
+def test_classes_suite_reports_a_planted_class_size(monkeypatch):
+    # the class of empty(6) gains a member of another order, so its size is
+    # wrong; its complement class, that of K6, is a different class
+    planted = canonical_form(empty(6))
+    real = verify.switching_class
+    calls = []
+
+    def faulty(g):
+        calls.append(g)
+        sc = real(g)
+        if planted in sc:
+            return SwitchingClass(sc.representative, sc.members | {canonical_form(empty(7))})
+        return sc
+
+    monkeypatch.setattr(verify, "switching_class", faulty)
+    res = verify.suite_classes(6)
+    # one scan per class of orders 1-6, then the three order-4 fixtures
+    assert len(calls) == 1 + 1 + 2 + 3 + 7 + 16 + 3
+    bad = [g for g in nonisomorphic_graphs(6)
+           if planted in real(g) or planted in real(complement(g))]
+    assert len(bad) == 8
+    assert res.violations == [f"complement class size differs: {to_graph6(g)}" for g in bad]
