@@ -53,12 +53,18 @@ def _median_s(fn):
 
 
 def _commit(src):
+    # dirty means uncommitted changes under src alone: this script's own
+    # BENCH_*.json record in the same checkout does not count
+    def git(*args):
+        return subprocess.run(["git", "-C", src, *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
     try:
-        out = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, check=True)
+        head = git("describe", "--always")
+        dirty = git("status", "--porcelain", "--", ".")
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip()
+    return head + "-dirty" if dirty else head
 
 
 def _random_rows(rng, n):

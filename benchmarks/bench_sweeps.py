@@ -1,7 +1,7 @@
 """Layer timings for the sweeps of `verify` and the exact Seidel polynomial.
 
 Times, in one process, the switching-algebra sweep `algebra_sweep(1..5)`,
-the invariants and classes suites at order 6 and the exact Seidel
+the invariants and classes suites at order 6, `census(7)` and the exact Seidel
 polynomial per graph at orders 6, 8, 12, 13 and 16, both batched and as
 a batch of one.  Each timing is the median of REPEAT runs; the random graphs come
 from SEED.  The process's peak RSS (`ru_maxrss`) is recorded after each
@@ -54,17 +54,23 @@ def _peak_rss_mb():
 
 
 def _commit(src):
+    # dirty means uncommitted changes under src alone: this script's own
+    # BENCH_*.json record in the same checkout does not count
+    def git(*args):
+        return subprocess.run(["git", "-C", src, *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
     try:
-        out = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, check=True)
+        head = git("describe", "--always")
+        dirty = git("status", "--porcelain", "--", ".")
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip()
+    return head + "-dirty" if dirty else head
 
 
 def measure():
     import numpy as np
-    from seidelkit import _kernels, invariants, make_graph, verify
+    from seidelkit import _kernels, classes, invariants, make_graph, verify
 
     peak = {"import": _peak_rss_mb()}
     rec = {}
@@ -76,6 +82,9 @@ def measure():
     verify.suite_classes(6)
     rec["suite_classes_6_s"] = _median_s(lambda: verify.suite_classes(6))
     peak["suite_classes"] = _peak_rss_mb()
+    classes.census(7)
+    rec["census_7_s"] = _median_s(lambda: classes.census(7))
+    peak["census_7"] = _peak_rss_mb()
 
     batched = getattr(invariants, "seidel_char_polys", None)
     single = invariants.seidel_char_poly

@@ -8,7 +8,7 @@ representatives with one such scan per class; a second route groups
 the same representatives by their two-graphs, without any canonical
 search, so the labeled counts cross-check each other.  That a graph
 and its complement span classes of equal size is checked in verify's
-classes suite, which likewise scans each class once.
+classes suite, which reads the class sizes from the census.
 """
 
 from __future__ import annotations
@@ -99,13 +99,18 @@ def census(n: int) -> list[CensusRecord]:
     representative is asserted to re-canonicalize, and the Seidel
     polynomial to be constant across each class.
     """
+    return _census(n)[0]
+
+
+def _census(n: int) -> tuple[list[CensusRecord], dict[CanonicalForm, int]]:
+    """census(n), plus the table from every member's form to its class_id."""
     _check_census_order(n)
     fact = math.factorial(n)
-    covered: set[CanonicalForm] = set()
+    table: dict[CanonicalForm, int] = {}
     records = []
     for g in nonisomorphic_graphs(n):
         cf = canonical_form(g)
-        if cf in covered:
+        if cf in table:
             continue
         rep = canonical_graph(cf)
         codes = _switch_orbit_codes(rep)
@@ -113,7 +118,7 @@ def census(n: int) -> list[CensusRecord]:
         if _form(n, codes[0]) != cf or min(counts) != codes[0]:
             raise AssertionError("class representative failed to re-canonicalize as its minimum")
         members = [_form(n, c) for c in sorted(counts)]
-        covered.update(members)
+        table.update(dict.fromkeys(members, len(records)))
         graphs = [canonical_graph(m) for m in members]
         poly, *polys = seidel_char_polys([rep, *graphs])
         if any(p != poly for p in polys):
@@ -131,7 +136,7 @@ def census(n: int) -> list[CensusRecord]:
                 iss_max=2 * max(counts.values()),
             )
         )
-    return records
+    return records, table
 
 
 def census_labeled_components(n: int) -> dict[CanonicalForm, int]:

@@ -16,7 +16,7 @@ from .classes import census
 from .generators import FAMILIES, gen
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .graphs import Graph, VertexSet
-from .iss import edge_iss_conditions, is_iss, iss_family
+from .iss import edge_iss_conditions, iss_family, vertex_iss_set
 from .switching import switch_set
 from .verify import SUITES, run_suites
 
@@ -91,10 +91,10 @@ def cmd_iss(args) -> int:
                       f"(witness {_mask_repr(g.n, a.mask)} ^ {_mask_repr(g.n, b.mask)} "
                       f"-> {_mask_repr(g.n, c.mask)})")
         elif args.mode == "vertices":
+            vset = vertex_iss_set(g)
             print(f"graph {to_graph6(g)}:")
             for v in range(g.n):
-                ok = is_iss(g, VertexSet.singleton(g.n, v))
-                print(f"  vertex {v}: {'yes' if ok else 'no'}")
+                print(f"  vertex {v}: {'yes' if v in vset else 'no'}")
         else:
             print(f"graph {to_graph6(g)}:")
             print("  edge  direct  cond_i  cond_ii  conditions  agree")

@@ -150,6 +150,11 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
+def _check_ambient(g: Graph, s: VertexSet) -> None:
+    if s.n != g.n:
+        raise ValueError("vertex set order differs from graph order")
+
+
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges coalesce."""
     _check_order(n)
@@ -173,8 +178,7 @@ def complement(g: Graph) -> Graph:
 
 def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on s, plus the order-preserving map old index -> new index."""
-    if s.n != g.n:
-        raise ValueError("vertex set order differs from graph order")
+    _check_ambient(g, s)
     kept = s.indices()
     if not kept:
         raise ValueError("induced subgraph needs a non-empty vertex set")

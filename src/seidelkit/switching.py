@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, VertexSet, _switch_rows
-
-
-def _check_ambient(g: Graph, s: VertexSet) -> None:
-    if s.n != g.n:
-        raise ValueError("vertex set order differs from graph order")
+from .graphs import Graph, VertexSet, _check_ambient, _switch_rows
 
 
 def switch_set(g: Graph, s: VertexSet) -> Graph:

@@ -17,12 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .classes import (
-    CENSUS_MAX_ORDER,
-    census,
-    census_labeled_components,
-    switching_class,
-)
+from .classes import CENSUS_MAX_ORDER, _census, census_labeled_components
 from .generators import (
     complete,
     complete_bipartite,
@@ -281,10 +276,9 @@ def suite_iss(max_order: int) -> SuiteResult:
                 hits = [v for v in orb if (vset >> v) & 1]
                 res.check(not hits or len(hits) == len(orb),
                           f"orbit with mixed singleton verdicts: {g6} orbit {orb}")
-            verdict = degree_extremes_adjacent(g)
-            if verdict is not None:
+            if vset == full:
                 premise += 1
-                res.check(verdict is True,
+                res.check(degree_extremes_adjacent(g) is True,
                           f"degree extremes not adjacent despite all-singleton premise: {g6}")
         res.lines.append(f"order {n}: {len(reps)} families enumerated")
     res.lines.append(
@@ -350,10 +344,11 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
 
 def suite_classes(max_order: int) -> SuiteResult:
     res = SuiteResult("classes")
-    class_counts = {}
+    # order -> (class sizes by class_id, table from member form to class_id)
+    by_order = {}
     for n in range(1, min(max_order, CENSUS_MAX_ORDER) + 1):
-        recs = census(n)
-        class_counts[n] = len(recs)
+        recs, table = _census(n)
+        by_order[n] = [r.iso_class_count for r in recs], table
         iso_total = sum(r.iso_class_count for r in recs)
         res.check(iso_total == len(nonisomorphic_graphs(n)),
                   f"census does not cover the isomorphism classes at order {n}")
@@ -365,21 +360,14 @@ def suite_classes(max_order: int) -> SuiteResult:
             f"order {n}: {len(recs)} switching classes over {iso_total} isomorphism classes; "
             f"labeled counts cross-checked by vertex-switch components"
         )
-    # complement classes have equal size; one scan per class, through the
-    # first member met, gives its size to every member's form
+    # complement classes have equal size, read from the census records
     pairs = 0
     for n, reps in _reps_upto(min(max_order, 6)):
-        size = {}
+        sizes, table = by_order[n]
         for g in reps:
-            forms = []
-            for h in (g, complement(g)):
-                cf = canonical_form(h)
-                if cf not in size:
-                    sc = switching_class(h)
-                    size.update(dict.fromkeys(sc.members, sc.size))
-                forms.append(cf)
             pairs += 1
-            res.check(size[forms[0]] == size[forms[1]], f"complement class size differs: {to_graph6(g)}")
+            res.check(sizes[table[canonical_form(g)]] == sizes[table[canonical_form(complement(g))]],
+                      f"complement class size differs: {to_graph6(g)}")
     res.lines.append(f"complement-class sizes agree for {pairs} graphs")
     # no self-complementary graph when the pair count is odd
     for n in (2, 3, 6, 7):
@@ -389,8 +377,9 @@ def suite_classes(max_order: int) -> SuiteResult:
                   f"unexpected self-complementary graph at order {n}")
         res.lines.append(f"order {n}: no self-complementary graph, classes pair up under complement")
     if max_order >= 4:
-        got = {switching_class(g).representative for g in (path(4), cycle(4), complete(4))}
-        if res.check(class_counts[4] == 3 and len(got) == 3,
+        sizes, table = by_order[4]
+        got = {table[canonical_form(g)] for g in (path(4), cycle(4), complete(4))}
+        if res.check(len(sizes) == 3 and len(got) == 3,
                      "order-4 classes are not the three expected ones"):
             res.lines.append("order 4: the three classes carry the path, the 4-cycle, and the complete graph")
     _note_cap(res, max_order)

@@ -1,12 +1,14 @@
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from seidelkit import VertexSet, complement, from_graph6, make_graph, switch_set
 from seidelkit.classes import (
     CENSUS_MAX_ORDER,
+    _census,
     census,
     census_labeled_components,
     switching_class,
@@ -99,6 +101,18 @@ def test_census_labeled_counts_cover_everything():
             for r in recs:
                 assert r.labeled_count % (1 << (n - 1)) == 0 or n == 1
         assert sum(r.iso_class_count for r in recs) == len(nonisomorphic_graphs(n))
+
+
+def test_census_table_maps_every_form_to_its_class():
+    for n in range(1, CENSUS_MAX_ORDER + 1):
+        recs, table = _census(n)
+        assert recs == census(n)
+        assert set(table) == {canonical_form(g) for g in nonisomorphic_graphs(n)}
+        per_class = Counter(table.values())
+        for r in recs:
+            assert per_class[r.class_id] == r.iso_class_count
+            assert table[canonical_form(from_graph6(r.rep_g6))] == r.class_id
+        assert sum(per_class.values()) == len(table)
 
 
 def test_census_dual_routes_agree():

@@ -6,6 +6,8 @@ import pytest
 from seidelkit import (
     VertexSet,
     complement,
+    induced_subgraph,
+    is_iss,
     make_graph,
     switch_sequence,
     switch_set,
@@ -123,3 +125,11 @@ def test_switch_vertex_matches_singleton_set():
         assert switch_vertex(g, v) == switch_set(g, VertexSet.singleton(4, v))
     with pytest.raises(IndexError):
         switch_vertex(g, 4)
+
+
+def test_vertex_set_of_another_order_is_refused():
+    g = paw()
+    for s in (VertexSet(3, 0b101), VertexSet.full(5)):
+        for fn in (switch_set, is_iss, induced_subgraph):
+            with pytest.raises(ValueError, match="vertex set order differs from graph order"):
+                fn(g, s)

@@ -1,12 +1,12 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from seidelkit import complement, to_graph6, verify
-from seidelkit.classes import SwitchingClass
+from seidelkit import _kernels, complement, to_graph6, verify
 from seidelkit.generators import empty
-from seidelkit.iso import canonical_form, nonisomorphic_graphs
+from seidelkit.iso import _canon_record, _switch_orbit_codes, canonical_form, nonisomorphic_graphs
 
 
 def test_suite_result_check_counts_and_records_failures():
@@ -107,24 +107,44 @@ def test_capped_sweeps_say_so(monkeypatch):
 
 
 def test_classes_suite_reports_a_planted_class_size(monkeypatch):
-    # the class of empty(6) gains a member of another order, so its size is
-    # wrong; its complement class, that of K6, is a different class
+    # the census record of empty(6)'s class claims one member too many;
+    # its complement class, that of K6, is a different class
     planted = canonical_form(empty(6))
-    real = verify.switching_class
+    real = verify._census
+
+    def faulty(n):
+        recs, table = real(n)
+        if n == 6:
+            cid = table[planted]
+            recs = [replace(r, iso_class_count=r.iso_class_count + 1) if r.class_id == cid else r
+                    for r in recs]
+        return recs, table
+
+    monkeypatch.setattr(verify, "_census", faulty)
+    res = verify.suite_classes(6)
+    table = real(6)[1]
+    cid = table[planted]
+    bad = [g for g in nonisomorphic_graphs(6)
+           if cid in (table[canonical_form(g)], table[canonical_form(complement(g))])]
+    assert len(bad) == 8
+    # the census no longer sums to the 156 isomorphism classes either
+    assert res.violations == ["census does not cover the isomorphism classes at order 6"] + [
+        f"complement class size differs: {to_graph6(g)}" for g in bad
+    ]
+
+
+def test_classes_suite_scans_each_class_once(monkeypatch):
+    # the census scans each of the 1 + 1 + 2 + 3 + 7 + 16 classes of
+    # orders 1-6; the complement and order-4 checks read its table
+    _switch_orbit_codes.cache_clear()
+    _canon_record.cache_clear()
+    real = _kernels.switch_orbit_scan
     calls = []
 
-    def faulty(g):
-        calls.append(g)
-        sc = real(g)
-        if planted in sc:
-            return SwitchingClass(sc.representative, sc.members | {canonical_form(empty(7))})
-        return sc
+    def counting(rows, n):
+        calls.append(n)
+        return real(rows, n)
 
-    monkeypatch.setattr(verify, "switching_class", faulty)
-    res = verify.suite_classes(6)
-    # one scan per class of orders 1-6, then the three order-4 fixtures
-    assert len(calls) == 1 + 1 + 2 + 3 + 7 + 16 + 3
-    bad = [g for g in nonisomorphic_graphs(6)
-           if planted in real(g) or planted in real(complement(g))]
-    assert len(bad) == 8
-    assert res.violations == [f"complement class size differs: {to_graph6(g)}" for g in bad]
+    monkeypatch.setattr(_kernels, "switch_orbit_scan", counting)
+    assert verify.suite_classes(6).ok
+    assert len(calls) == 30
