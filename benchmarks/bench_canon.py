@@ -1,30 +1,48 @@
 """Layer timings for the canonical search and the switch-orbit scan.
 
-Times, in one process, `_kernels.run_canon` per graph on seeded
-uniform random graphs (edge probability 1/2) at orders 8, 10 and 12,
-and on a symmetric set: complete(12), empty(12), K_{6,6}, the cube Q3
-and the prism C3 x P2, each as built, relabelled, and switched by a
-random subset and relabelled.  It also times `switch_orbit_scan` per
-graph on random order-10 graphs, which is where most searches of the
-package run.  Each timing is the median of REPEAT runs; the graphs come
-from SEED.  Every output of the timed calls is hashed into
-`outputs_sha256`, so runs of two checkouts whose digests match computed
-the same codes, labelings, group orders, orbits and generators.
+Loads the seidelkit package of two checkouts into one process, the
+parent's under another module name, and times the same layers on each
+in turn, alternating which side goes first.  Separate processes on a
+shared machine spread 20-30% from one another, more than the ~10%
+per-layer bound; interleaved in one process, the pairs resolve a few
+percent.  The layers, each the median of REPEAT calls per pair:
+
+- `_kernels.run_canon` per graph on seeded uniform random graphs (edge
+  probability 1/2) at orders 8, 10 and 12, and on a symmetric set:
+  complete(12), empty(12), K_{6,6}, the cube Q3 and the prism C3 x P2,
+  each as built, relabelled, and switched by a random subset and
+  relabelled;
+- `_kernels.switch_orbit_scan` per graph on seeded random graphs at
+  orders 6, 8 and 10, and on the same set at order 10: complete(10),
+  empty(10), K_{5,5}, C10, the cube and the prism;
+- a cold `nonisomorphic_graphs(7)`, its cache and the search cache
+  cleared before each call.
+
+Every output of the timed calls is hashed per side, and the run stops
+if the two digests differ, so both sides computed the same codes,
+labelings, group orders, orbits, generators and representatives.
+
+`--crossover` times, on this checkout alone, the two ways a scan can
+search k slots of a random graph of order n: one search per slot, and
+one batch; each figure is the median over PAIRS alternating pairs, per
+graph of CROSSOVER_GRAPHS.  The scan's `_SCAN_BATCH_MIN` is the k from
+which the batch wins.
 
 Run from the repository root:
 
-    python benchmarks/bench_canon.py --label change
-    python benchmarks/bench_canon.py --src OTHER_CHECKOUT/src --label parent
+    python benchmarks/bench_canon.py --parent PARENT_CHECKOUT/src
+    python benchmarks/bench_canon.py --crossover
 
-Each run appends its record to the list under its label in
-benchmarks/BENCH_canon.json.  Alternate the labels over several runs:
-on a shared machine one process's timings can sit 30% off another's.
+Each run appends its record to the `pairs` or `crossover` list in
+benchmarks/BENCH_canon.json.  The `runs` lists hold the records of the
+earlier mode, one process per side.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -34,12 +52,18 @@ import subprocess
 import sys
 import time
 
-# order -> number of seeded random graphs timed at that order
+import numpy as np
+
+# order -> number of seeded random graphs per call of a layer
 RANDOM_GRAPHS = {8: 64, 10: 64, 12: 32}
-SCAN_ORDER = 10
-SCAN_GRAPHS = 8
-REPEAT = 5
+SCAN_GRAPHS = {6: 16, 8: 8, 10: 4}
+NONISO_ORDER = 7
+REPEAT = 3
+PAIRS = 10
 SEED = 1
+CROSSOVER_ORDERS = (4, 6, 8, 10)
+CROSSOVER_GRAPHS = 8
+CROSSOVER_SLOTS = (2, 4, 6, 8, 12, 16, 24, 32)
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_canon.json")
 
 
@@ -67,82 +91,156 @@ def _commit(src):
     return head + "-dirty" if dirty else head
 
 
-def _random_rows(rng, n):
-    from seidelkit import make_graph
+def _load(src, name):
+    # the seidelkit package under src, imported as the module name
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(src, "seidelkit", "__init__.py"),
+        submodule_search_locations=[os.path.join(src, "seidelkit")])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
 
-    return make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]).adj
+
+def _random_rows(sk, rng, n):
+    return sk.make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]).adj
 
 
-def _symmetric_rows(rng):
-    from seidelkit import VertexSet, relabel, switch_set
-    from seidelkit.generators import complete, complete_bipartite, cube_q3, empty, prism_c3p2
-
+def _variants(sk, rng, graphs):
+    # each graph as built, relabelled, and switched by a random subset and relabelled
     out = {}
-    for name, g in [("complete12", complete(12)), ("empty12", empty(12)),
-                    ("k66", complete_bipartite(6, 6)), ("cube", cube_q3()), ("prism", prism_c3p2())]:
-        n = g.n
-        perm = list(range(n))
+    for name, g in graphs:
+        perm = list(range(g.n))
         rng.shuffle(perm)
-        switched = switch_set(g, VertexSet(n, rng.randrange(1 << n)))
-        out[name] = [g.adj, relabel(g, tuple(perm)).adj, relabel(switched, tuple(perm)).adj]
+        switched = sk.switch_set(g, sk.VertexSet(g.n, rng.randrange(1 << g.n)))
+        out[name] = [g.adj, sk.relabel(g, tuple(perm)).adj, sk.relabel(switched, tuple(perm)).adj]
     return out
 
 
-def measure():
-    from seidelkit import _kernels
-
+def _layers(sk):
+    # layer name -> (unit scale, per-call divisor, call); one call runs the whole batch
+    gen = sk.generators
     rng = random.Random(SEED)
-    digest = hashlib.sha256()
+    kernels, iso = sk._kernels, sk.iso
+    layers = {}
 
-    def per_graph_us(batch):
-        for rows in batch:
-            digest.update(repr(_kernels.run_canon(rows, len(rows))).encode())
-        return 1e6 * _median_s(lambda: [_kernels.run_canon(rows, len(rows)) for rows in batch]) / len(batch)
+    def canon(batch):
+        return lambda: [kernels.run_canon(rows, len(rows)) for rows in batch]
 
-    rec = {"run_canon_random_us": {}, "run_canon_symmetric_us": {}}
+    def scan(batch):
+        return lambda: [kernels.switch_orbit_scan(rows, len(rows)) for rows in batch]
+
     for n, count in RANDOM_GRAPHS.items():
-        rec["run_canon_random_us"][str(n)] = per_graph_us([_random_rows(rng, n) for _ in range(count)])
-    for name, batch in _symmetric_rows(rng).items():
-        rec["run_canon_symmetric_us"][name] = per_graph_us(batch)
-    scans = [_random_rows(rng, SCAN_ORDER) for _ in range(SCAN_GRAPHS)]
-    for rows in scans:
-        digest.update(repr(_kernels.switch_orbit_scan(rows, SCAN_ORDER)).encode())
-    rec["switch_orbit_scan_ms"] = 1e3 * _median_s(
-        lambda: [_kernels.switch_orbit_scan(rows, SCAN_ORDER) for rows in scans]) / SCAN_GRAPHS
-    rec["outputs_sha256"] = digest.hexdigest()
+        batch = [_random_rows(sk, rng, n) for _ in range(count)]
+        layers[f"run_canon_random_{n}_us"] = (1e6, count, canon(batch))
+    sym12 = [("complete12", gen.complete(12)), ("empty12", gen.empty(12)),
+             ("k66", gen.complete_bipartite(6, 6)), ("cube", gen.cube_q3()), ("prism", gen.prism_c3p2())]
+    for name, batch in _variants(sk, rng, sym12).items():
+        layers[f"run_canon_{name}_us"] = (1e6, len(batch), canon(batch))
+    for n, count in SCAN_GRAPHS.items():
+        batch = [_random_rows(sk, rng, n) for _ in range(count)]
+        layers[f"switch_orbit_scan_random_{n}_ms"] = (1e3, count, scan(batch))
+    sym10 = [("complete10", gen.complete(10)), ("empty10", gen.empty(10)),
+             ("k55", gen.complete_bipartite(5, 5)), ("cycle10", gen.cycle(10)),
+             ("cube", gen.cube_q3()), ("prism", gen.prism_c3p2())]
+    batch = [rows for rows3 in _variants(sk, rng, sym10).values() for rows in rows3]
+    layers["switch_orbit_scan_symmetric_ms"] = (1e3, len(batch), scan(batch))
+
+    def noniso():
+        iso._canon_record.cache_clear()
+        iso.nonisomorphic_graphs.cache_clear()
+        return [sk.to_graph6(g) for g in iso.nonisomorphic_graphs(NONISO_ORDER)]
+
+    layers[f"nonisomorphic_graphs_{NONISO_ORDER}_cold_s"] = (1.0, 1, noniso)
+    return layers
+
+
+def _digest(layers):
+    h = hashlib.sha256()
+    for name, (_, _, call) in layers.items():
+        h.update(name.encode() + repr(call()).encode())
+    return h.hexdigest()
+
+
+def _quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def pairs(parent_src, change_src, count):
+    sides = {"parent": _layers(_load(parent_src, "seidelkit_parent")),
+             "change": _layers(_load(change_src, "seidelkit"))}
+    digests = {side: _digest(layers) for side, layers in sides.items()}
+    if digests["parent"] != digests["change"]:
+        raise SystemExit(f"outputs differ: {digests}")
+    times = {side: {name: [] for name in layers} for side, layers in sides.items()}
+    for k in range(count):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for name in sides["parent"]:
+            for side in order:
+                scale, per, call = sides[side][name]
+                times[side][name].append(scale * _median_s(call) / per)
+    rec = {"commit": {"parent": _commit(parent_src), "change": _commit(change_src)},
+           "pairs": count, "repeat": REPEAT, "seed": SEED,
+           "random_graphs": {str(n): c for n, c in RANDOM_GRAPHS.items()},
+           "scan_graphs": {str(n): c for n, c in SCAN_GRAPHS.items()},
+           "outputs_sha256": digests["change"], "layers": {}}
+    for name in sides["parent"]:
+        p, c = times["parent"][name], times["change"][name]
+        rec["layers"][name] = {"parent": p, "change": c,
+                               "parent_quartiles": _quartiles(p), "change_quartiles": _quartiles(c),
+                               "change_wins": sum(x < y for x, y in zip(c, p))}
+    return rec
+
+
+def crossover(src):
+    sk = _load(src, "seidelkit")
+    kernels = sk._kernels
+    rng = random.Random(SEED)
+    default = kernels._SCAN_BATCH_MIN
+    rec = {"commit": _commit(src), "repeat": REPEAT, "seed": SEED,
+           "scan_batch_min": default, "ms": {}}
+    try:
+        for n in CROSSOVER_ORDERS:
+            batch = [_random_rows(sk, rng, n) for _ in range(CROSSOVER_GRAPHS)]
+            for k in CROSSOVER_SLOTS:
+                if k >= 1 << (n - 1):
+                    continue
+                slots = list(range(1, k + 1))
+                got = {"per_slot": [], "batch": []}
+                for _ in range(PAIRS):
+                    for way, threshold in (("per_slot", k + 1), ("batch", 0)):
+                        kernels._SCAN_BATCH_MIN = threshold
+                        got[way].append(1e3 * _median_s(
+                            lambda: [kernels._slot_codes(rows, n, slots) for rows in batch]) / len(batch))
+                rec["ms"][f"{n}:{k}"] = {way: statistics.median(ts) for way, ts in got.items()}
+    finally:
+        kernels._SCAN_BATCH_MIN = default
     return rec
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default="src", help="directory holding the seidelkit package")
-    ap.add_argument("--label", required=True, help="the list in BENCH_canon.json this run's record joins")
+    ap.add_argument("--src", default="src", help="directory holding the changed seidelkit package")
+    ap.add_argument("--parent", help="directory holding the parent's seidelkit package")
+    ap.add_argument("--pairs", type=int, default=PAIRS, help="interleaved parent/change pairs")
+    ap.add_argument("--crossover", action="store_true", help="sweep the scan's batch threshold instead")
     args = ap.parse_args(argv)
+    if not args.crossover and not args.parent:
+        ap.error("--parent is required unless --crossover is given")
     src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    rec = {
-        "commit": _commit(src),
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "loadavg_1m": os.getloadavg()[0],
-        "repeat": REPEAT,
-        "seed": SEED,
-        "scan_order": SCAN_ORDER,
-        "scan_graphs": SCAN_GRAPHS,
-        "random_graphs": {str(n): c for n, c in RANDOM_GRAPHS.items()},
-    }
-    rec.update(measure())
-    try:
-        with open(OUT) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        doc = {"harness": "benchmarks/bench_canon.py",
-               "units": "_us microseconds per search, _ms milliseconds per scan", "runs": {}}
-    doc["runs"].setdefault(args.label, []).append(rec)
+    rec = crossover(src) if args.crossover else pairs(os.path.abspath(args.parent), src, args.pairs)
+    rec.update({"python": platform.python_version(), "numpy": np.__version__,
+                "nproc": os.cpu_count(), "loadavg_1m": os.getloadavg()[0]})
+    with open(OUT) as f:
+        doc = json.load(f)
+    doc["units"] = ("_us microseconds per search, _ms milliseconds per scan or per crossover "
+                    "batch, _s seconds per call")
+    doc.setdefault("crossover" if args.crossover else "pairs", []).append(rec)
     with open(OUT, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(json.dumps({args.label: rec}, indent=2, sort_keys=True))
+    print(json.dumps(rec, indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,20 @@
 
 A graph of order n is a sequence of n Python ints in the layout of
 Graph.adj: bit j of rows[i] is set when {i, j} is an edge.  The search
-and the switch-orbit scan are plain Python over those ints; the algebra
-sweep and the two-graph kernels are numpy over a batch of graphs.
-Helpers carry a leading underscore, so the unprefixed functions are the
-only entry points.
+is plain Python over those ints; the algebra sweep and the two-graph
+kernels are numpy over a batch of graphs.  Helpers carry a leading
+underscore, so the unprefixed functions are the only entry points.
+
+The same search also runs on a whole stack of graphs of one order at
+once (_canon_codes), for the two callers that need many forms and
+nothing else: the switch-orbit scan, once it has _SCAN_BATCH_MIN slots
+to search, and iso.nonisomorphic_graphs, for each order's children.  It
+refines every node of every tree together and expands only target cells
+of two vertices, with no pruning, so it needs no automorphisms.  A
+graph whose search meets a cell of three or more vertices gets -1 and
+goes back to the pruned single search: an empty or complete graph would
+otherwise expand n! leaves.  Through order _CODES_MAX_ORDER a code fits
+in an int64; above it, every graph takes the single search.
 
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over the discrete
@@ -195,6 +205,117 @@ def _canon(rows, n):
     return best[0], best[1], count, orbit, tuple(gens)
 
 
+# The batched search keeps each leaf code, C(n, 2) bits, in one int64,
+# and each refinement key: a colour above n neighbor counts, each
+# n.bit_length() bits wide.
+_CODES_MAX_ORDER = max(n for n in range(1, 64) if n * (n - 1) // 2 <= 63 and (n + 1) * n.bit_length() <= 63)
+
+# entries of the (graphs, s, t, row) stack that one block of the sweep
+# holds, and of the adjacency stack that one batch of search nodes holds
+_SWEEP_BLOCK = 1 << 14
+
+
+def _adjacency(graphs, n):
+    # the (graphs, n, n) bool stack of adjacency-row sequences of order n
+    rows = np.array(graphs, dtype=np.int64).reshape(-1, n)
+    return ((rows[:, :, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def _equitable(adj, colors):
+    # The snapshot refinement of each node's ordered partition, with each
+    # vertex coloured by the start index of its cell.  A vertex's key is
+    # its colour above its neighbor counts in the cells, the first cell
+    # highest, and its new colour is the number of vertices with a smaller
+    # key: those of earlier cells, which is its colour, plus the cellmates
+    # with smaller counts.  That is the start of its subcell when its cell
+    # is sorted by counts, so the partition is the one _refine reaches.
+    n = adj.shape[1]
+    width = n.bit_length()
+    shift = width * np.arange(n - 1, -1, -1)
+    adj = adj.astype(np.int64)
+    while True:
+        counts = np.matmul(adj, np.int64(1) << shift[colors][:, :, None])[:, :, 0]
+        key = colors << n * width | counts
+        new = (key[:, None, :] < key[:, :, None]).view(np.uint8) @ np.ones(n, dtype=np.uint8)
+        if (new == colors).all():
+            return colors
+        colors = new.astype(np.int64)
+
+
+def _canon_codes(adj, n):
+    """The minimum leaf code of each graph of a (graphs, n, n) bool stack.
+
+    Equal to _canon(rows, n)[0] for each graph whose search meets only
+    target cells of two vertices; a graph whose search meets a cell of
+    three or more gets -1.  The tree is walked without pruning, which a
+    large cell could blow up, so those graphs go back to the pruned
+    _canon.  Search nodes go through in batches of at most _SWEEP_BLOCK
+    adjacency entries, depth first, so memory stays bounded.
+    """
+    if n > _CODES_MAX_ORDER:
+        raise ValueError(f"batched codes stop at order {_CODES_MAX_ORDER}")
+    block = max(1, _SWEEP_BLOCK // (n * n))
+    # (p[t], q[t]): the label positions of leaf code bit t, highest first
+    p, q = np.array([(p, q) for q in range(n) for p in range(q)], dtype=np.int64).reshape(-1, 2).T
+    bit = np.int64(1) << np.arange(len(p) - 1, -1, -1)
+    best = np.full(len(adj), np.iinfo(np.int64).max)
+    wide = np.zeros(len(adj), dtype=bool)
+    for lo in range(0, len(adj), block):
+        roots = np.arange(lo, min(lo + block, len(adj)))
+        # batches of search nodes as (graph index, colours), the last one first
+        todo = [(roots, np.zeros((len(roots), n), dtype=np.int64))]
+        while todo:
+            graph, colors = todo.pop()
+            keep = ~wide[graph]
+            a = adj[graph[keep]]
+            graph, colors = graph[keep], _equitable(a, colors[keep])
+            cells = np.bincount((colors + n * np.arange(len(graph))[:, None]).ravel(),
+                                minlength=n * len(graph)).reshape(-1, n)
+            leaf = (cells < 2).all(axis=1)
+            # a leaf's labeling puts vertex v at position colour[v]; its code is one gather
+            idx = np.flatnonzero(leaf)
+            lab = np.empty((len(idx), n), dtype=np.int64)
+            lab[np.arange(len(idx))[:, None], colors[idx]] = np.arange(n)
+            np.minimum.at(best, graph[idx], a[idx[:, None], lab[:, p], lab[:, q]] @ bit)
+            target = (cells > 1).argmax(axis=1)
+            wide[graph[cells[np.arange(len(graph)), target] > 2]] = True
+            keep = ~leaf & ~wide[graph]
+            graph, colors, target = graph[keep], colors[keep], target[keep]
+            if len(graph):
+                # individualize each vertex of the 2-cell in turn: the other one moves up a place
+                pair = np.nonzero(colors == target[:, None])[1].reshape(-1, 2)
+                graph, colors = np.tile(graph, 2), np.tile(colors, (2, 1))
+                colors[np.arange(len(graph)), pair.T.ravel()] += 1
+                todo += [(graph[i : i + block], colors[i : i + block]) for i in range(0, len(graph), block)]
+    return np.where(wide, -1, best)
+
+
+def _search_codes(adj, n):
+    # the canonical code of each graph of a bool stack, as a list of ints:
+    # the batch where it resolves, _canon for the rest
+    codes = _canon_codes(adj, n).tolist() if n <= _CODES_MAX_ORDER else [-1] * len(adj)
+    bit = np.int64(1) << np.arange(n)
+    for i, code in enumerate(codes):
+        if code < 0:
+            codes[i] = _canon((adj[i] @ bit).tolist(), n)[0]
+    return codes
+
+
+# the fewest slots that a scan searches as one batch: below it, one
+# search per slot is cheaper (the crossover in benchmarks/BENCH_canon.json)
+_SCAN_BATCH_MIN = 12
+
+
+def _slot_codes(rows, n, slots):
+    # the canonical code of rows switched by the subset 2k, for each slot k
+    if len(slots) < _SCAN_BATCH_MIN:
+        return [_canon(_switch_rows(rows, k << 1), n)[0] for k in slots]
+    # side[i, v]: whether v is in subset i; a switch toggles exactly the
+    # pairs whose ends lie on different sides
+    side = ((np.array(slots)[:, None] << 1 >> np.arange(n)) & 1).astype(bool)
+    return _search_codes(_adjacency(rows, n) ^ (side[:, :, None] != side[:, None, :]), n)
+
+
 def switch_orbit_scan(rows, n):
     """Canonical code of the switch of rows by every even-mask subset, as a tuple.
 
@@ -214,10 +335,11 @@ def switch_orbit_scan(rows, n):
             low = k & -k
             image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
             _union(parent, k, (m ^ full if m & 1 else m) >> 1)
+    roots = [k for k in range(1, half) if _find(parent, k) == k]
+    searched = dict(zip(roots, _slot_codes(rows, n, roots)))
     codes = [code]
     for k in range(1, half):
-        root = _find(parent, k)
-        codes.append(codes[root] if root < k else _canon(_switch_rows(rows, k << 1), n)[0])
+        codes.append(searched[k] if k in searched else codes[_find(parent, k)])
     return tuple(codes)
 
 
@@ -268,10 +390,6 @@ def _switch_pattern(n):
     # pattern[s, i]: the mask that switching by subset s XORs into row i,
     # which is row i of the empty graph switched by s
     return np.array([_switch_rows([0] * n, s) for s in range(1 << n)], dtype=np.int64)
-
-
-# entries of the (graphs, s, t, row) stack that one block of the sweep holds
-_SWEEP_BLOCK = 1 << 14
 
 
 def algebra_sweep(n):

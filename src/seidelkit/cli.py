@@ -15,7 +15,8 @@ import sys
 from .classes import census
 from .generators import FAMILIES, gen
 from .graph6 import Graph6Error, from_graph6, to_graph6
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, _check_bound
+from .iso import CANONICAL_MAX_ORDER
 from .iss import edge_iss_conditions, iss_family, vertex_iss_set
 from .switching import switch_set
 from .verify import SUITES, run_suites
@@ -96,6 +97,8 @@ def cmd_iss(args) -> int:
             for v in range(g.n):
                 print(f"  vertex {v}: {'yes' if v in vset else 'no'}")
         else:
+            # refused before the header, as the other modes refuse before theirs
+            _check_bound(g.n, CANONICAL_MAX_ORDER)
             print(f"graph {to_graph6(g)}:")
             print("  edge  direct  cond_i  cond_ii  conditions  agree")
             for (x, y) in g.edges():

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
+import numpy as np
+
 from . import _kernels
 from .graphs import Graph, Permutation, _check_bound, _upper_rows, graph_from_code, relabel
 
@@ -137,20 +139,34 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class, sorted by canonical form.
 
     Grown by vertex augmentation from order 1, which stays cheap well
-    past the range where scanning all labeled graphs is an option.
+    past the range where scanning all labeled graphs is an option.  Each
+    order's children are searched as numpy batches, and the first child
+    of each form, in parent then mask order, represents it.
     """
     _check_bound(n, CANONICAL_MAX_ORDER)
-    k1 = Graph(1, (0,))
-    reps: dict[CanonicalForm, Graph] = {canonical_form(k1): k1}
+    reps = {0: Graph(1, (0,))}
     for k in range(2, n + 1):
-        nxt: dict[CanonicalForm, Graph] = {}
-        for g in reps.values():
-            for mask in range(1 << (k - 1)):
-                rows = [row | (((mask >> i) & 1) << (k - 1)) for i, row in enumerate(g.adj)]
-                rows.append(mask)
-                h = Graph(k, tuple(rows))
-                cf = canonical_form(h)
-                if cf not in nxt:
-                    nxt[cf] = h
-        reps = nxt
-    return tuple(reps[cf] for cf in sorted(reps))
+        graphs = list(reps.values())
+        nmask = 1 << (k - 1)
+        # bits[m, i]: whether mask m joins the new vertex k - 1 to i
+        bits = ((np.arange(nmask)[:, None] >> np.arange(k - 1)) & 1).astype(bool)
+        chunk = max(1, _kernels._SWEEP_BLOCK // (nmask * k * k))
+        codes = []
+        for lo in range(0, len(graphs), chunk):
+            parents = _kernels._adjacency([g.adj for g in graphs[lo : lo + chunk]], k - 1)
+            kids = np.zeros((len(parents), nmask, k, k), dtype=bool)
+            kids[:, :, : k - 1, : k - 1] = parents[:, None]
+            kids[:, :, k - 1, : k - 1] = bits
+            kids[:, :, : k - 1, k - 1] = bits
+            codes += _kernels._search_codes(kids.reshape(-1, k, k), k)
+        first = {}
+        for i, code in enumerate(codes):
+            first.setdefault(code, i)
+        reps = {code: _child(graphs[i >> (k - 1)], i & (nmask - 1)) for code, i in first.items()}
+    return tuple(reps[code] for code in sorted(reps))
+
+
+def _child(g: Graph, mask: int) -> Graph:
+    # g with a new last vertex joined to the vertices of mask
+    rows = [row | ((mask >> i) & 1) << g.n for i, row in enumerate(g.adj)]
+    return Graph(g.n + 1, (*rows, mask))

@@ -99,6 +99,14 @@ def test_iss_edges_mode():
     assert "(0,1)" in out and "(2,3)" in out
 
 
+def test_iss_edges_mode_refuses_past_the_order_bound():
+    # empty(13) has no edge to search and complete(13) fails at its first;
+    # both are refused before the header
+    for g6 in ("L" + "?" * 13, "L" + "~" * 13):
+        code, out, err = run_cli(["iss", "--graph", g6, "--mode", "edges"])
+        assert code == 2 and out == "" and "bound 12" in err
+
+
 def test_census_jsonl_and_summary():
     code, out, _ = run_cli(["census", "--order", "4"])
     assert code == 0

@@ -5,9 +5,10 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 import oracles
-from seidelkit import VertexSet, switch_set, make_graph, relabel
+from seidelkit import VertexSet, make_graph, nonisomorphic_graphs, relabel, switch_set, to_graph6
 from seidelkit import _kernels
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
@@ -15,20 +16,20 @@ from seidelkit.graphs import graph_from_code, graph_to_code
 from seidelkit.iso import _form, automorphisms, canonical_form
 
 
-def test_switch_orbit_scan_matches_switch_set():
+def _random_graph(rng, n):
+    return make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+
+
+def test_switch_orbit_scan_matches_switch_set(monkeypatch):
     rng = random.Random(31)
-    graphs = []
-    for _ in range(10):
-        n = rng.randint(2, 7)
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        ]
-        graphs.append(make_graph(n, edges))
+    graphs = [_random_graph(rng, rng.randint(2, 7)) for _ in range(10)]
+    graphs += [_random_graph(rng, n) for n in (8, 9, 10)]
     # symmetric graphs, whose scans copy codes along automorphism orbits
-    graphs += [empty(7), complete(7), complete_bipartite(3, 4), cube_q3(), cycle(8), prism_c3p2()]
+    graphs += [empty(7), complete(7), complete_bipartite(3, 4), cube_q3(), cycle(8), prism_c3p2(), cycle(10)]
+    # scans on both sides of the slot threshold: batched and one search per slot
+    batched = []
+    search_codes = _kernels._search_codes
+    monkeypatch.setattr(_kernels, "_search_codes", lambda adj, n: batched.append(n) or search_codes(adj, n))
     for g in graphs:
         n = g.n
         codes = switch_orbit_scan(g.adj, n)
@@ -38,6 +39,64 @@ def test_switch_orbit_scan_matches_switch_set():
         for k in range(1 << (n - 1)):
             h = switch_set(g, VertexSet(n, 2 * k))
             assert _form(n, codes[k]) == canonical_form(h)
+    assert 0 < len(batched) < len(graphs)
+    assert {8, 9, 10} <= set(batched)
+
+
+def _switches(g):
+    return [switch_set(g, VertexSet(g.n, 2 * k)).adj for k in range(1 << (g.n - 1))]
+
+
+def _batch_inputs():
+    # every labeled graph of orders 1-6, a sample at order 7, and all the
+    # switches of random and of symmetric graphs at orders 8-10
+    for n in range(1, 7):
+        yield n, [graph_from_code(n, c).adj for c in range(1 << (n * (n - 1) // 2))]
+    rng = random.Random(606)
+    yield 7, [graph_from_code(7, rng.randrange(1 << 21)).adj for _ in range(1000)]
+    for n in (8, 9, 10):
+        yield n, [rows for _ in range(2) for rows in _switches(_random_graph(rng, n))]
+    for g in [empty(10), complete(10), complete_bipartite(5, 5), cycle(10)]:
+        yield 10, _switches(g)
+    for g in [cube_q3(), prism_c3p2()]:
+        yield g.n, _switches(g)
+
+
+def test_batched_codes_match_the_single_search():
+    resolved = handed_back = 0
+    for n, graphs in _batch_inputs():
+        codes = _kernels._canon_codes(_kernels._adjacency(graphs, n), n)
+        assert codes.dtype == np.int64 and len(codes) == len(graphs)
+        for rows, code in zip(graphs, codes.tolist()):
+            if code == -1:
+                handed_back += 1
+            else:
+                resolved += 1
+                assert code == _kernels._canon(rows, n)[0]
+    # both ways run: graphs whose search meets only 2-cells, and the rest
+    assert resolved > 0 and handed_back > 0
+
+
+def test_batched_codes_run_in_blocks(monkeypatch):
+    # one search node per batch gives the codes of the default batches
+    adj = _kernels._adjacency([graph_from_code(6, c).adj for c in range(0, 1 << 15, 37)], 6)
+    want = _kernels._canon_codes(adj, 6)
+    monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", 1)
+    assert (_kernels._canon_codes(adj, 6) == want).all()
+
+
+def test_batched_codes_refuse_orders_past_int64():
+    # C(12, 2) = 66 code bits do not fit
+    assert _kernels._CODES_MAX_ORDER == 11
+    with pytest.raises(ValueError):
+        _kernels._canon_codes(np.zeros((1, 12, 12), dtype=bool), 12)
+
+
+def test_nonisomorphic_graphs_seven_pinned():
+    # the exact representatives, in order: the published witnesses are drawn from them
+    text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ac31047432c34f574caacd5f1e482c15eff10004186157046867e4ec29545e80")
 
 
 def _labeled_two_graphs(n):
