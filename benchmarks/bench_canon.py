@@ -167,21 +167,21 @@ def _quartiles(xs):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def pairs(parent_src, change_src, count):
+def pairs(parent_src, change_src):
     sides = {"parent": _layers(_load(parent_src, "seidelkit_parent")),
              "change": _layers(_load(change_src, "seidelkit"))}
     digests = {side: _digest(layers) for side, layers in sides.items()}
     if digests["parent"] != digests["change"]:
         raise SystemExit(f"outputs differ: {digests}")
     times = {side: {name: [] for name in layers} for side, layers in sides.items()}
-    for k in range(count):
+    for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for name in sides["parent"]:
             for side in order:
                 scale, per, call = sides[side][name]
                 times[side][name].append(scale * _median_s(call) / per)
     rec = {"commit": {"parent": _commit(parent_src), "change": _commit(change_src)},
-           "pairs": count, "repeat": REPEAT, "seed": SEED,
+           "pairs": PAIRS, "repeat": REPEAT, "seed": SEED,
            "random_graphs": {str(n): c for n, c in RANDOM_GRAPHS.items()},
            "scan_graphs": {str(n): c for n, c in SCAN_GRAPHS.items()},
            "outputs_sha256": digests["change"], "layers": {}}
@@ -223,13 +223,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default="src", help="directory holding the changed seidelkit package")
     ap.add_argument("--parent", help="directory holding the parent's seidelkit package")
-    ap.add_argument("--pairs", type=int, default=PAIRS, help="interleaved parent/change pairs")
     ap.add_argument("--crossover", action="store_true", help="sweep the scan's batch threshold instead")
     args = ap.parse_args(argv)
     if not args.crossover and not args.parent:
         ap.error("--parent is required unless --crossover is given")
     src = os.path.abspath(args.src)
-    rec = crossover(src) if args.crossover else pairs(os.path.abspath(args.parent), src, args.pairs)
+    rec = crossover(src) if args.crossover else pairs(os.path.abspath(args.parent), src)
     rec.update({"python": platform.python_version(), "numpy": np.__version__,
                 "nproc": os.cpu_count(), "loadavg_1m": os.getloadavg()[0]})
     with open(OUT) as f:

@@ -15,7 +15,8 @@ of two vertices, with no pruning, so it needs no automorphisms.  A
 graph whose search meets a cell of three or more vertices gets -1 and
 goes back to the pruned single search: an empty or complete graph would
 otherwise expand n! leaves.  Through order _CODES_MAX_ORDER a code fits
-in an int64; above it, every graph takes the single search.
+in an int64; past it the batch refuses, and nonisomorphic_graphs
+searches each child alone.
 
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over the discrete
@@ -293,7 +294,7 @@ def _canon_codes(adj, n):
 def _search_codes(adj, n):
     # the canonical code of each graph of a bool stack, as a list of ints:
     # the batch where it resolves, _canon for the rest
-    codes = _canon_codes(adj, n).tolist() if n <= _CODES_MAX_ORDER else [-1] * len(adj)
+    codes = _canon_codes(adj, n).tolist()
     bit = np.int64(1) << np.arange(n)
     for i, code in enumerate(codes):
         if code < 0:
@@ -323,7 +324,9 @@ def switch_orbit_scan(rows, n):
     complement equivalence.  Index 0 is the graph's own canonical code.
     An automorphism s of the graph maps the switch by S onto the switch
     by s(S), so only the least slot of each class under the generators
-    is searched and the rest copy its code.
+    is searched and the rest copy its code.  The roots are searched as
+    one batch once there are _SCAN_BATCH_MIN of them, so n stops at
+    _CODES_MAX_ORDER.
     """
     full = (1 << n) - 1
     half = 1 << (n - 1)

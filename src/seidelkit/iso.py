@@ -148,22 +148,33 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     for k in range(2, n + 1):
         graphs = list(reps.values())
         nmask = 1 << (k - 1)
-        # bits[m, i]: whether mask m joins the new vertex k - 1 to i
-        bits = ((np.arange(nmask)[:, None] >> np.arange(k - 1)) & 1).astype(bool)
-        chunk = max(1, _kernels._SWEEP_BLOCK // (nmask * k * k))
-        codes = []
-        for lo in range(0, len(graphs), chunk):
-            parents = _kernels._adjacency([g.adj for g in graphs[lo : lo + chunk]], k - 1)
-            kids = np.zeros((len(parents), nmask, k, k), dtype=bool)
-            kids[:, :, : k - 1, : k - 1] = parents[:, None]
-            kids[:, :, k - 1, : k - 1] = bits
-            kids[:, :, : k - 1, k - 1] = bits
-            codes += _kernels._search_codes(kids.reshape(-1, k, k), k)
+        if k > _kernels._CODES_MAX_ORDER:
+            codes = [_kernels._canon(_child(g, m).adj, k)[0] for g in graphs for m in range(nmask)]
+        else:
+            codes = _child_codes(graphs, k)
         first = {}
         for i, code in enumerate(codes):
             first.setdefault(code, i)
         reps = {code: _child(graphs[i >> (k - 1)], i & (nmask - 1)) for code, i in first.items()}
     return tuple(reps[code] for code in sorted(reps))
+
+
+def _child_codes(graphs: list[Graph], k: int) -> list[int]:
+    # the canonical code of each child of each graph of order k - 1, in
+    # parent then mask order, searched as numpy batches
+    nmask = 1 << (k - 1)
+    # bits[m, i]: whether mask m joins the new vertex k - 1 to i
+    bits = ((np.arange(nmask)[:, None] >> np.arange(k - 1)) & 1).astype(bool)
+    chunk = max(1, _kernels._SWEEP_BLOCK // (nmask * k * k))
+    codes = []
+    for lo in range(0, len(graphs), chunk):
+        parents = _kernels._adjacency([g.adj for g in graphs[lo : lo + chunk]], k - 1)
+        kids = np.zeros((len(parents), nmask, k, k), dtype=bool)
+        kids[:, :, : k - 1, : k - 1] = parents[:, None]
+        kids[:, :, k - 1, : k - 1] = bits
+        kids[:, :, : k - 1, k - 1] = bits
+        codes += _kernels._search_codes(kids.reshape(-1, k, k), k)
+    return codes
 
 
 def _child(g: Graph, mask: int) -> Graph:

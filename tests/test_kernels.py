@@ -47,9 +47,20 @@ def _switches(g):
     return [switch_set(g, VertexSet(g.n, 2 * k)).adj for k in range(1 << (g.n - 1))]
 
 
+def _two_cell_witness():
+    # The complement of C8 on vertices 2-9, with 0 joined to 2, 3, 4, 7 and
+    # 1 to 5, 6, 8, 9.  The root partition is {0, 1} before the other
+    # eight, and no automorphism maps 0 to 1: 0 sees a run of three
+    # consecutive cycle vertices, 1 two runs of two.  So the two children
+    # of the root, and their leaves, differ.
+    ring = [(i + 2, j + 2) for j in range(8) for i in range(j) if (j - i) % 8 not in (1, 7)]
+    return make_graph(10, ring + [(0, v) for v in (2, 3, 4, 7)] + [(1, v) for v in (5, 6, 8, 9)])
+
+
 def _batch_inputs():
-    # every labeled graph of orders 1-6, a sample at order 7, and all the
-    # switches of random and of symmetric graphs at orders 8-10
+    # every labeled graph of orders 1-6, a sample at order 7, all the
+    # switches of random and of symmetric graphs at orders 8-10, and the
+    # two-cell witness with its pair in either order
     for n in range(1, 7):
         yield n, [graph_from_code(n, c).adj for c in range(1 << (n * (n - 1) // 2))]
     rng = random.Random(606)
@@ -60,6 +71,8 @@ def _batch_inputs():
         yield 10, _switches(g)
     for g in [cube_q3(), prism_c3p2()]:
         yield g.n, _switches(g)
+    g = _two_cell_witness()
+    yield 10, [g.adj, relabel(g, [1, 0, *range(2, 10)]).adj]
 
 
 def test_batched_codes_match_the_single_search():
@@ -77,6 +90,19 @@ def test_batched_codes_match_the_single_search():
     assert resolved > 0 and handed_back > 0
 
 
+def test_two_cell_witness_needs_both_children():
+    # The minimum leaf lies under one child of the root's target cell
+    # {0, 1}, the child of vertex 1, so a batched search that expanded only
+    # the first, or only the second, vertex of each 2-cell would miss it in
+    # one of the two labelings that _batch_inputs holds.
+    g = _two_cell_witness()
+    adj = _kernels._adjacency([g.adj], 10)
+    assert _kernels._equitable(adj, np.zeros((1, 10), dtype=np.int64)).tolist() == [[0, 0] + [2] * 8]
+    _, lab, _, orbit, _ = _kernels._canon(g.adj, 10)
+    assert orbit[0] != orbit[1] and lab[0] == 1
+    assert _kernels._canon_codes(adj, 10).tolist() != [-1]
+
+
 def test_batched_codes_run_in_blocks(monkeypatch):
     # one search node per batch gives the codes of the default batches
     adj = _kernels._adjacency([graph_from_code(6, c).adj for c in range(0, 1 << 15, 37)], 6)
@@ -92,9 +118,16 @@ def test_batched_codes_refuse_orders_past_int64():
         _kernels._canon_codes(np.zeros((1, 12, 12), dtype=bool), 12)
 
 
-def test_nonisomorphic_graphs_seven_pinned():
-    # the exact representatives, in order: the published witnesses are drawn from them
-    text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
+@pytest.mark.parametrize("batch_max_order", [11, 5])
+def test_nonisomorphic_graphs_seven_pinned(monkeypatch, batch_max_order):
+    # the exact representatives, in order: the published witnesses are drawn
+    # from them.  Orders past the batch's bound search each child alone.
+    monkeypatch.setattr(_kernels, "_CODES_MAX_ORDER", batch_max_order)
+    nonisomorphic_graphs.cache_clear()
+    try:
+        text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
+    finally:
+        nonisomorphic_graphs.cache_clear()
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ac31047432c34f574caacd5f1e482c15eff10004186157046867e4ec29545e80")
 
