@@ -74,14 +74,19 @@ def canonical_graph(cf: CanonicalForm) -> Graph:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Equal canonical forms.  Once the order bound is checked, unequal
+    sorted degree sequences answer no before any search."""
     if g.n != h.n:
+        return False
+    _check_bound(g.n, CANONICAL_MAX_ORDER)
+    if sorted(map(int.bit_count, g.adj)) != sorted(map(int.bit_count, h.adj)):
         return False
     return canonical_form(g) == canonical_form(h)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
     """A vertex bijection carrying E(g) onto E(h), or None."""
-    if g.n != h.n or canonical_form(g) != canonical_form(h):
+    if not is_isomorphic(g, h):
         return None
     labg = canonical_labeling(g)
     labh = canonical_labeling(h)

@@ -4,6 +4,11 @@ A subset S is an identity switch of G when switching by S lands back in
 the isomorphism class of G.  The empty set and the full vertex set
 always qualify, and S works exactly when its complement does, so scans
 only need the even-looking half of the subset lattice.
+
+A single switch is decided by is_isomorphic, where a switched graph
+whose sorted degree sequence differs from G's is "not isomorphic"
+before any canonical search; edge_iss_conditions likewise settles
+condition_ii from the two set sizes before it searches Aut(core).
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, VertexSet, induced_subgraph
-from .iso import _switch_orbit_codes, automorphisms, canonical_form
+from .iso import _switch_orbit_codes, automorphisms, is_isomorphic
 from .switching import switch_set
 
 
 def is_iss(g: Graph, s: VertexSet) -> bool:
     """Is switching by s an identity switch of g?"""
-    return canonical_form(switch_set(g, s)) == canonical_form(g)
+    return is_isomorphic(switch_set(g, s), g)
 
 
 @dataclass(frozen=True)
@@ -110,11 +115,6 @@ def edge_iss_direct(g: Graph, x: int, y: int) -> bool:
     return is_iss(g, VertexSet.from_indices(g.n, (x, y)))
 
 
-def _core(g: Graph, x: int, y: int):
-    rest = VertexSet(g.n, ((1 << g.n) - 1) & ~(1 << x) & ~(1 << y))
-    return induced_subgraph(g, rest)
-
-
 @dataclass(frozen=True)
 class EdgeIssReport:
     """Direct verdict next to the two-part degree/automorphism criterion."""
@@ -146,10 +146,15 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
     n = g.n
     direct = edge_iss_direct(g, x, y)
     condition_i = g.degree(x) + g.degree(y) == n
-    if n == 2:
+    rest = ((1 << n) - 1) & ~(1 << x) & ~(1 << y)
+    # automorphisms keep a set's size, so unequal sizes, read off g's
+    # rows, settle condition_ii before the core is built or searched
+    if (g.adj[x] & rest).bit_count() != (rest & ~g.adj[y]).bit_count():
+        condition_ii = False
+    elif n == 2:
         condition_ii = True
     else:
-        core, remap = _core(g, x, y)
+        core, remap = induced_subgraph(g, VertexSet(n, rest))
         a_mask = 0
         target = (1 << core.n) - 1
         for old, new in remap.items():
@@ -159,16 +164,15 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
                 target &= ~(1 << new)
         # breadth-first search of the orbit of a_mask under the
         # generators of Aut(core): at most C(n - 2, |a_mask|) masks
+        gens = automorphisms(core).generators
         orbit = {a_mask}
-        if a_mask.bit_count() == target.bit_count():
-            gens = automorphisms(core).generators
-            todo = [a_mask]
-            for m in todo:
-                for sigma in gens:
-                    img = sum(1 << sigma[v] for v in range(core.n) if m >> v & 1)
-                    if img not in orbit:
-                        orbit.add(img)
-                        todo.append(img)
+        todo = [a_mask]
+        for m in todo:
+            for sigma in gens:
+                img = sum(1 << sigma[v] for v in range(core.n) if m >> v & 1)
+                if img not in orbit:
+                    orbit.add(img)
+                    todo.append(img)
         condition_ii = target in orbit
     return EdgeIssReport(x, y, direct, condition_i, condition_ii)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -155,6 +156,16 @@ def test_verify_all_small():
     assert "PASS (0 violations" in out
     for name in ("algebra", "iso", "invariants", "iss", "edge-iss", "classes", "constructions"):
         assert f"[{name}]" in out
+
+
+def test_verify_edge_iss_at_order_seven_pinned():
+    # the benchmark's golden output stops at --max-order 6; this pins the
+    # edge suite one order further, byte for byte
+    code, out, _ = run_cli(["verify", "--suite", "edge-iss", "--max-order", "7"])
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS (0 violations, 376 findings)"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "64022c21e0f06fc443eb670f992d78f758edfe5149720c5270a00abbd81d36e6"
 
 
 def test_verify_unknown_suite():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -313,3 +314,42 @@ def test_one_search_answers_every_reader(monkeypatch):
 
 def test_is_isomorphic_rejects_mixed_orders():
     assert not is_isomorphic(empty(3), empty(4))
+
+
+def test_is_isomorphic_matches_brute_force_past_the_degree_guard():
+    # equal degree sequences leave the verdict to the canonical search
+    def degrees(g):
+        return sorted(g.degree(v) for v in range(g.n))
+
+    two_triangles = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g, h in ((cycle(6), two_triangles), (complete_bipartite(3, 3), prism_c3p2())):
+        assert degrees(g) == degrees(h)
+        assert not is_isomorphic(g, h) and not oracles.brute_is_isomorphic(g, h)
+        assert find_isomorphism(g, h) is None
+    # seeded pairs: a relabeled copy, that copy after a degree-keeping
+    # edge swap ab, cd -> ac, bd, and an unrelated graph with as many edges
+    rng = random.Random(67)
+    seen = collections.Counter()
+    for n in range(4, 8):
+        for _ in range(6):
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            g = make_graph(n, [e for e in pairs if rng.random() < 0.5])
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(g, tuple(perm))
+            edges = h.edges()
+            rng.shuffle(edges)
+            swapped = h
+            for (a, b), (c, d) in itertools.combinations(edges, 2):
+                if len({a, b, c, d}) == 4 and not h.has_edge(a, c) and not h.has_edge(b, d):
+                    swapped = make_graph(n, [e for e in edges if e not in ((a, b), (c, d))]
+                                         + [(a, c), (b, d)])
+                    break
+            other = make_graph(n, rng.sample(pairs, len(edges)))
+            for k in (h, swapped, other):
+                want = oracles.brute_is_isomorphic(g, k)
+                assert is_isomorphic(g, k) == want
+                seen[degrees(g) == degrees(k), want] += 1
+    # every branch of the guard is taken: different degrees, and equal
+    # degrees both with and without an isomorphism
+    assert seen[False, False] and seen[True, False] and seen[True, True]

@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+import oracles
+from seidelkit import _kernels, iss
 from seidelkit import VertexSet, from_graph6, make_graph, relabel, switch_set, switch_vertex
 from seidelkit.generators import (
     complete,
@@ -17,7 +19,14 @@ from seidelkit.generators import (
     prism_c3p2,
     tadpole,
 )
-from seidelkit.iso import SWITCH_SCAN_MAX_ORDER, is_isomorphic, nonisomorphic_graphs, similarity_orbits
+from seidelkit.iso import (
+    CANONICAL_MAX_ORDER,
+    SWITCH_SCAN_MAX_ORDER,
+    _canon_record,
+    is_isomorphic,
+    nonisomorphic_graphs,
+    similarity_orbits,
+)
 from seidelkit.iss import (
     all_vertices_iss,
     complemented_core_agreement,
@@ -63,10 +72,55 @@ def test_membership_closed_under_complement():
 
 
 def test_is_iss_definition_spot_checks():
+    # against the permutation oracle: is_iss itself is is_isomorphic
     g = paw()
     for mask in range(16):
         s = VertexSet(4, mask)
-        assert is_iss(g, s) == is_isomorphic(switch_set(g, s), g)
+        assert is_iss(g, s) == oracles.brute_is_isomorphic(switch_set(g, s), g)
+
+
+def test_degree_guard_keeps_the_order_bound():
+    # each switch below changes the degree sequence, so a guard ahead of
+    # the bound would answer instead of refusing
+    big = path(CANONICAL_MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="bound"):
+        is_iss(big, VertexSet.singleton(big.n, 0))
+    with pytest.raises(ValueError, match="bound"):
+        is_isomorphic(big, cycle(big.n))
+    with pytest.raises(ValueError, match="bound"):
+        edge_iss_conditions(big, 0, 1)
+    assert not is_isomorphic(big, path(CANONICAL_MAX_ORDER))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_is_iss_skips_the_search_when_degrees_differ(monkeypatch):
+    searches = _counting(monkeypatch, _kernels, "run_canon")
+    _canon_record.cache_clear()
+    # switching an end of P5 joins it to 2, 3, 4: the degrees change
+    assert not is_iss(path(5), VertexSet.singleton(5, 0))
+    assert searches == []
+    # switching an end of P3 gives P3 again: same degrees, so it searches
+    assert is_iss(path(3), VertexSet.singleton(3, 0))
+    assert searches
+
+
+def test_condition_ii_skips_the_core_when_sizes_differ(monkeypatch):
+    cores = _counting(monkeypatch, iss, "induced_subgraph")
+    groups = _counting(monkeypatch, iss, "automorphisms")
+    # P4, edge 01: the core {2, 3} holds no neighbor of 0 but one
+    # non-neighbor of 1
+    r = edge_iss_conditions(path(4), 0, 1)
+    assert not r.condition_ii
+    assert cores == [] and groups == []
+    # edge 12: one neighbor of 1 against one non-neighbor of 2
+    assert edge_iss_conditions(path(4), 1, 2).condition_ii
+    assert len(cores) == 1 and len(groups) == 1
 
 
 def test_family_on_three_path():
