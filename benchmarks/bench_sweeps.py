@@ -5,9 +5,10 @@ the invariants, classes, iss and edge-iss suites at order 6, `census(7)`
 and the exact Seidel polynomial per graph at orders 6, 8, 12, 13 and 16,
 both batched and as a batch of one.  Each timing is the median of REPEAT
 runs; the iss and edge-iss runs each start with the search caches
-cleared.  The random graphs come from SEED.  The process's peak RSS (`ru_maxrss`) is recorded after each
-item, so a rise shows where it happened.  The batched and single
-polynomials are compared before they are timed.
+cleared.  The random graphs come from SEED.  The process's peak RSS
+(`ru_maxrss`) is recorded after each item, so a rise shows where it
+happened.  The batched and single polynomials are compared before they
+are timed.
 
 Run from the repository root:
 

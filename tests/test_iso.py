@@ -314,6 +314,8 @@ def test_one_search_answers_every_reader(monkeypatch):
 
 def test_is_isomorphic_rejects_mixed_orders():
     assert not is_isomorphic(empty(3), empty(4))
+    # orders differ before any bound applies
+    assert not is_isomorphic(path(CANONICAL_MAX_ORDER + 1), path(CANONICAL_MAX_ORDER))
 
 
 def test_is_isomorphic_matches_brute_force_past_the_degree_guard():

@@ -89,7 +89,6 @@ def test_degree_guard_keeps_the_order_bound():
         is_isomorphic(big, cycle(big.n))
     with pytest.raises(ValueError, match="bound"):
         edge_iss_conditions(big, 0, 1)
-    assert not is_isomorphic(big, path(CANONICAL_MAX_ORDER))
 
 
 def _counting(monkeypatch, module, name):
