@@ -18,6 +18,16 @@ otherwise expand n! leaves.  Through order _CODES_MAX_ORDER a code fits
 in an int64; past it the batch refuses, and nonisomorphic_graphs
 searches each child alone.
 
+The stack axis comes last: a stack is (n, n, graphs) bool, and a batch
+of search nodes holds its adjacency as (n, n, nodes) int64 and its
+ordered partitions as (n, nodes) colours, so every numpy loop of a
+round runs over the nodes, not over the n <= 11 vertices.  A leaf puts
+vertex v at position colour[v], so its code is one gather: each edge
+{u, v} adds the entry of an (n, n) table of pair bits at (colour[u],
+colour[v]).  A node whose partition stops moving is equitable, and
+once fewer than a quarter of a batch's nodes still move, the stable
+ones retire from the rest of its refinement rounds.
+
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over the discrete
 refinements.  Each round counts neighbors only in the splitter cells:
@@ -213,38 +223,47 @@ _CODES_MAX_ORDER = max(n for n in range(1, 64) if n * (n - 1) // 2 <= 63 and (n 
 
 # entries of the (graphs, s, t, row) stack that one block of the sweep
 # holds, and of the adjacency stack that one batch of search nodes holds
-_SWEEP_BLOCK = 1 << 14
+_SWEEP_BLOCK = 1 << 16
 
 
 def _adjacency(graphs, n):
-    # the (graphs, n, n) bool stack of adjacency-row sequences of order n
+    # the (n, n, graphs) bool stack of adjacency-row sequences of order n
     rows = np.array(graphs, dtype=np.int64).reshape(-1, n)
-    return ((rows[:, :, None] >> np.arange(n)) & 1).astype(bool)
+    return ((rows.T[:, None, :] >> np.arange(n)[:, None]) & 1).astype(bool)
 
 
 def _equitable(adj, colors):
-    # The snapshot refinement of each node's ordered partition, with each
-    # vertex coloured by the start index of its cell.  A vertex's key is
-    # its colour above its neighbor counts in the cells, the first cell
+    # The snapshot refinement of each node's ordered partition, for an
+    # (n, n, nodes) int64 adjacency stack and (n, nodes) int64 colours,
+    # each vertex coloured by the start index of its cell.  A vertex's key
+    # is its colour above its neighbor counts in the cells, the first cell
     # highest, and its new colour is the number of vertices with a smaller
     # key: those of earlier cells, which is its colour, plus the cellmates
     # with smaller counts.  That is the start of its subcell when its cell
     # is sorted by counts, so the partition is the one _refine reaches.
-    n = adj.shape[1]
+    # A node whose colours did not move is equitable and stays so; once
+    # fewer than a quarter of the nodes still move, the others retire.
+    n = len(adj)
     width = n.bit_length()
-    shift = width * np.arange(n - 1, -1, -1)
-    adj = adj.astype(np.int64)
+    weight = np.int64(1) << width * np.arange(n - 1, -1, -1)
+    out = np.empty_like(colors)
+    live = np.arange(colors.shape[1])
     while True:
-        counts = np.matmul(adj, np.int64(1) << shift[colors][:, :, None])[:, :, 0]
-        key = colors << n * width | counts
-        new = (key[:, None, :] < key[:, :, None]).view(np.uint8) @ np.ones(n, dtype=np.uint8)
-        if (new == colors).all():
-            return colors
-        colors = new.astype(np.int64)
+        key = colors << n * width | np.einsum("vub,ub->vb", adj, weight[colors])
+        new = (key < key[:, None]).sum(axis=1, dtype=np.uint8).astype(np.int64)
+        moved = (new != colors).any(axis=0)
+        colors = new
+        still = np.count_nonzero(moved)
+        if not still:
+            out[:, live] = colors
+            return out
+        if 4 * still < len(moved):
+            out[:, live[~moved]] = colors[:, ~moved]
+            live, adj, colors = live[moved], adj[:, :, moved], colors[:, moved]
 
 
 def _canon_codes(adj, n):
-    """The minimum leaf code of each graph of a (graphs, n, n) bool stack.
+    """The minimum leaf code of each graph of an (n, n, graphs) bool stack.
 
     Equal to _canon(rows, n)[0] for each graph whose search meets only
     target cells of two vertices; a graph whose search meets a cell of
@@ -256,38 +275,43 @@ def _canon_codes(adj, n):
     if n > _CODES_MAX_ORDER:
         raise ValueError(f"batched codes stop at order {_CODES_MAX_ORDER}")
     block = max(1, _SWEEP_BLOCK // (n * n))
-    # (p[t], q[t]): the label positions of leaf code bit t, highest first
+    # the pairs p < q, in leaf code order; weight[p * n + q] and
+    # weight[q * n + p]: the code bit of label positions p and q
     p, q = np.array([(p, q) for q in range(n) for p in range(q)], dtype=np.int64).reshape(-1, 2).T
-    bit = np.int64(1) << np.arange(len(p) - 1, -1, -1)
-    best = np.full(len(adj), np.iinfo(np.int64).max)
-    wide = np.zeros(len(adj), dtype=bool)
-    for lo in range(0, len(adj), block):
-        roots = np.arange(lo, min(lo + block, len(adj)))
-        # batches of search nodes as (graph index, colours), the last one first
-        todo = [(roots, np.zeros((len(roots), n), dtype=np.int64))]
+    weight = np.zeros(n * n, dtype=np.int64)
+    weight[p * n + q] = weight[q * n + p] = np.int64(1) << np.arange(len(p) - 1, -1, -1)
+    size = adj.shape[2]
+    best = np.full(size, np.iinfo(np.int64).max)
+    wide = np.zeros(size, dtype=bool)
+    for lo in range(0, size, block):
+        a = adj[:, :, lo : lo + block].astype(np.int64)
+        # batches of search nodes as (graph index, adjacency, colours), the last one first
+        todo = [(np.arange(lo, lo + a.shape[2]), a, np.zeros((n, a.shape[2]), dtype=np.int64))]
         while todo:
-            graph, colors = todo.pop()
+            graph, a, colors = todo.pop()
             keep = ~wide[graph]
-            a = adj[graph[keep]]
-            graph, colors = graph[keep], _equitable(a, colors[keep])
-            cells = np.bincount((colors + n * np.arange(len(graph))[:, None]).ravel(),
+            if not keep.all():
+                graph, a, colors = graph[keep], a[:, :, keep], colors[:, keep]
+            colors = _equitable(a, colors)
+            # cells[i, c]: the size of the cell that starts at c in node i
+            cells = np.bincount((colors + n * np.arange(len(graph))).ravel(),
                                 minlength=n * len(graph)).reshape(-1, n)
-            leaf = (cells < 2).all(axis=1)
-            # a leaf's labeling puts vertex v at position colour[v]; its code is one gather
-            idx = np.flatnonzero(leaf)
-            lab = np.empty((len(idx), n), dtype=np.int64)
-            lab[np.arange(len(idx))[:, None], colors[idx]] = np.arange(n)
-            np.minimum.at(best, graph[idx], a[idx[:, None], lab[:, p], lab[:, q]] @ bit)
+            leaf = cells.max(axis=1) < 2
+            # a leaf puts vertex v at position colour[v]; each edge {p, q}
+            # adds the bit of its ends' positions
+            c = colors[:, leaf]
+            np.minimum.at(best, graph[leaf], (a[p, q][:, leaf] * weight[c[p] * n + c[q]]).sum(axis=0))
             target = (cells > 1).argmax(axis=1)
             wide[graph[cells[np.arange(len(graph)), target] > 2]] = True
             keep = ~leaf & ~wide[graph]
-            graph, colors, target = graph[keep], colors[keep], target[keep]
+            graph, a, colors, target = graph[keep], a[:, :, keep], colors[:, keep], target[keep]
             if len(graph):
                 # individualize each vertex of the 2-cell in turn: the other one moves up a place
-                pair = np.nonzero(colors == target[:, None])[1].reshape(-1, 2)
-                graph, colors = np.tile(graph, 2), np.tile(colors, (2, 1))
-                colors[np.arange(len(graph)), pair.T.ravel()] += 1
-                todo += [(graph[i : i + block], colors[i : i + block]) for i in range(0, len(graph), block)]
+                cell = colors == target
+                first = cell & (cell.cumsum(axis=0) == 1)
+                graph, a, colors = np.tile(graph, 2), np.tile(a, 2), np.hstack([colors + (cell ^ first), colors + first])
+                todo += [(graph[i : i + block], a[:, :, i : i + block], colors[:, i : i + block])
+                         for i in range(0, len(graph), block)]
     return np.where(wide, -1, best)
 
 
@@ -298,7 +322,7 @@ def _search_codes(adj, n):
     bit = np.int64(1) << np.arange(n)
     for i, code in enumerate(codes):
         if code < 0:
-            codes[i] = _canon((adj[i] @ bit).tolist(), n)[0]
+            codes[i] = _canon((adj[:, :, i] @ bit).tolist(), n)[0]
     return codes
 
 
@@ -311,26 +335,29 @@ def _slot_codes(rows, n, slots):
     # the canonical code of rows switched by the subset 2k, for each slot k
     if len(slots) < _SCAN_BATCH_MIN:
         return [_canon(_switch_rows(rows, k << 1), n)[0] for k in slots]
-    # side[i, v]: whether v is in subset i; a switch toggles exactly the
+    # side[v, i]: whether v is in subset i; a switch toggles exactly the
     # pairs whose ends lie on different sides
-    side = ((np.array(slots)[:, None] << 1 >> np.arange(n)) & 1).astype(bool)
-    return _search_codes(_adjacency(rows, n) ^ (side[:, :, None] != side[:, None, :]), n)
+    side = ((np.array(slots) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
+    return _search_codes(_adjacency(rows, n) ^ (side[:, None] != side), n)
 
 
-def switch_orbit_scan(rows, n):
+def switch_orbit_scan(rows, n, code, gens):
     """Canonical code of the switch of rows by every even-mask subset, as a tuple.
 
-    Index k holds the code for subset mask 2k; odd masks are covered by
-    complement equivalence.  Index 0 is the graph's own canonical code.
-    An automorphism s of the graph maps the switch by S onto the switch
-    by s(S), so only the least slot of each class under the generators
-    is searched and the rest copy its code.  The roots are searched as
+    code and gens are the graph's own canonical code and automorphism
+    generators, as _canon returns them.  Index k holds the code for
+    subset mask 2k; odd masks are covered by complement equivalence.
+    Index 0 is code.  An automorphism s of the graph maps the switch by
+    S onto the switch by s(S), so only the least slot of each class
+    under the generators is searched and the rest copy its code; with
+    no generators every slot is searched.  The roots are searched as
     one batch once there are _SCAN_BATCH_MIN of them, so n stops at
     _CODES_MAX_ORDER.
     """
     full = (1 << n) - 1
     half = 1 << (n - 1)
-    code, _, _, _, gens = _canon(rows, n)
+    if not gens:
+        return (code, *_slot_codes(rows, n, range(1, half)))
     parent = list(range(half))
     for g in gens:
         image = [0] * half  # image[k]: the mask g(2k)

@@ -27,6 +27,7 @@ from .invariants import seidel_char_polys
 from .iso import (
     CanonicalForm,
     _form,
+    _forms,
     _switch_orbit_codes,
     automorphism_count,
     canonical_form,
@@ -58,9 +59,8 @@ def switching_class(g: Graph) -> SwitchingClass:
     The representative is the minimum member, so equal classes compare
     equal no matter which member seeded the scan.
     """
-    codes = sorted(set(_switch_orbit_codes(g)))
-    members = frozenset(_form(g.n, c) for c in codes)
-    return SwitchingClass(_form(g.n, codes[0]), members)
+    members = _forms(g.n, sorted(set(_switch_orbit_codes(g))))
+    return SwitchingClass(members[0], frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _census(n: int) -> tuple[list[CensusRecord], dict[CanonicalForm, int]]:
         counts = Counter(codes)
         if _form(n, codes[0]) != cf or min(counts) != codes[0]:
             raise AssertionError("class representative failed to re-canonicalize as its minimum")
-        members = [_form(n, c) for c in sorted(counts)]
+        members = _forms(n, sorted(counts))
         table.update(dict.fromkeys(members, len(records)))
         graphs = [canonical_graph(m) for m in members]
         poly, *polys = seidel_char_polys([rep, *graphs])

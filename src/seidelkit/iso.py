@@ -29,11 +29,21 @@ class CanonicalForm(NamedTuple):
     bits: bytes
 
 
-def _form(n: int, code: int) -> CanonicalForm:
-    # the code's bit string, first pair in the top bit, zero-padded to whole bytes
+def _forms(n: int, codes) -> list[CanonicalForm]:
+    # each code's bit string, first pair in the top bit, zero-padded to whole bytes
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 7) // 8
-    return CanonicalForm(n, (code << (8 * nbytes - npairs)).to_bytes(nbytes, "big"))
+    pad = 8 * nbytes - npairs
+    return [CanonicalForm(n, (code << pad).to_bytes(nbytes, "big")) for code in codes]
+
+
+def _form(n: int, code: int) -> CanonicalForm:
+    return _forms(n, (code,))[0]
+
+
+def _code(cf: CanonicalForm) -> int:
+    # the int that _form packed
+    return int.from_bytes(cf.bits, "big") >> (8 * len(cf.bits) - cf.n * (cf.n - 1) // 2)
 
 
 # The only call of the search in this module; every reader below takes
@@ -50,11 +60,13 @@ def _canon_record(g: Graph) -> tuple:
 
 # iss_family and switching_class scan the same graph in turn, so a few
 # entries catch the repeat.  Every scan of the package comes through here,
-# so this is where its order bound is checked.
+# so this is where its order bound is checked.  The scan starts from the
+# graph's own search, which canonical_form has usually run already.
 @lru_cache(maxsize=16)
 def _switch_orbit_codes(g: Graph) -> tuple[int, ...]:
     _check_bound(g.n, SWITCH_SCAN_MAX_ORDER)
-    return _kernels.switch_orbit_scan(g.adj, g.n)
+    cf, _, _, _, gens = _canon_record(g)
+    return _kernels.switch_orbit_scan(g.adj, g.n, _code(cf), gens)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -69,8 +81,7 @@ def canonical_labeling(g: Graph) -> Permutation:
 
 def canonical_graph(cf: CanonicalForm) -> Graph:
     """The representative graph encoded by a canonical form."""
-    code = int.from_bytes(cf.bits, "big") >> (8 * len(cf.bits) - cf.n * (cf.n - 1) // 2)
-    return Graph(cf.n, tuple(_upper_rows(cf.n, code)))
+    return Graph(cf.n, tuple(_upper_rows(cf.n, _code(cf))))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -168,17 +179,17 @@ def _child_codes(graphs: list[Graph], k: int) -> list[int]:
     # the canonical code of each child of each graph of order k - 1, in
     # parent then mask order, searched as numpy batches
     nmask = 1 << (k - 1)
-    # bits[m, i]: whether mask m joins the new vertex k - 1 to i
-    bits = ((np.arange(nmask)[:, None] >> np.arange(k - 1)) & 1).astype(bool)
+    # bits[i, m]: whether mask m joins the new vertex k - 1 to i
+    bits = ((np.arange(nmask) >> np.arange(k - 1)[:, None]) & 1).astype(bool)
     chunk = max(1, _kernels._SWEEP_BLOCK // (nmask * k * k))
     codes = []
     for lo in range(0, len(graphs), chunk):
         parents = _kernels._adjacency([g.adj for g in graphs[lo : lo + chunk]], k - 1)
-        kids = np.zeros((len(parents), nmask, k, k), dtype=bool)
-        kids[:, :, : k - 1, : k - 1] = parents[:, None]
-        kids[:, :, k - 1, : k - 1] = bits
-        kids[:, :, : k - 1, k - 1] = bits
-        codes += _kernels._search_codes(kids.reshape(-1, k, k), k)
+        kids = np.zeros((k, k, parents.shape[2], nmask), dtype=bool)
+        kids[: k - 1, : k - 1] = parents[:, :, :, None]
+        kids[k - 1, : k - 1] = bits[:, None]
+        kids[: k - 1, k - 1] = bits[:, None]
+        codes += _kernels._search_codes(kids.reshape(k, k, -1), k)
     return codes
 
 

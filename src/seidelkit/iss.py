@@ -8,7 +8,8 @@ only need the even-looking half of the subset lattice.
 A single switch is decided by is_isomorphic, where a switched graph
 whose sorted degree sequence differs from G's is "not isomorphic"
 before any canonical search; edge_iss_conditions likewise settles
-condition_ii from the two set sizes before it searches Aut(core).
+condition_ii when the two sets are equal, or differ in their core
+degrees, before it searches Aut(core).
 """
 
 from __future__ import annotations
@@ -147,26 +148,28 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
     direct = edge_iss_direct(g, x, y)
     condition_i = g.degree(x) + g.degree(y) == n
     rest = ((1 << n) - 1) & ~(1 << x) & ~(1 << y)
-    # automorphisms keep a set's size, so unequal sizes, read off g's
-    # rows, settle condition_ii before the core is built or searched
-    if (g.adj[x] & rest).bit_count() != (rest & ~g.adj[y]).bit_count():
-        condition_ii = False
-    elif n == 2:
+    a_mask = g.adj[x] & rest
+    b_mask = rest & ~g.adj[y]
+
+    def core_degrees(mask):
+        return sorted((g.adj[v] & rest).bit_count() for v in range(n) if mask >> v & 1)
+
+    # the identity maps a set onto itself, and automorphisms keep core
+    # degrees, so both tests, read off g's rows, settle condition_ii
+    # before the core is built or searched
+    if a_mask == b_mask:
         condition_ii = True
+    elif core_degrees(a_mask) != core_degrees(b_mask):
+        condition_ii = False
     else:
         core, remap = induced_subgraph(g, VertexSet(n, rest))
-        a_mask = 0
-        target = (1 << core.n) - 1
-        for old, new in remap.items():
-            if g.has_edge(x, old):
-                a_mask |= 1 << new
-            if g.has_edge(y, old):
-                target &= ~(1 << new)
-        # breadth-first search of the orbit of a_mask under the
-        # generators of Aut(core): at most C(n - 2, |a_mask|) masks
+        start = sum(1 << remap[v] for v in remap if a_mask >> v & 1)
+        target = sum(1 << remap[v] for v in remap if b_mask >> v & 1)
+        # breadth-first search of the orbit of start under the
+        # generators of Aut(core): at most C(n - 2, |start|) masks
         gens = automorphisms(core).generators
-        orbit = {a_mask}
-        todo = [a_mask]
+        orbit = {start}
+        todo = [start]
         for m in todo:
             for sigma in gens:
                 img = sum(1 << sigma[v] for v in range(core.n) if m >> v & 1)

@@ -117,9 +117,53 @@ def test_condition_ii_skips_the_core_when_sizes_differ(monkeypatch):
     r = edge_iss_conditions(path(4), 0, 1)
     assert not r.condition_ii
     assert cores == [] and groups == []
-    # edge 12: one neighbor of 1 against one non-neighbor of 2
+    # edge 12: the core neighbor 0 of 1 is the core non-neighbor of 2,
+    # so the identity answers
     assert edge_iss_conditions(path(4), 1, 2).condition_ii
+    assert cores == [] and groups == []
+    # a triangle 012 and a lone 3, edge 01: the core {2, 3} holds the
+    # neighbor 2 of 0 and the non-neighbor 3 of 1, both of core degree 0,
+    # so the swap of 2 and 3 has to be found by the search
+    assert edge_iss_conditions(make_graph(4, [(0, 1), (0, 2), (1, 2)]), 0, 1).condition_ii
     assert len(cores) == 1 and len(groups) == 1
+
+
+def test_condition_ii_skips_the_core_when_core_degrees_differ(monkeypatch):
+    cores = _counting(monkeypatch, iss, "induced_subgraph")
+    # edge 03: the core {1, 2, 4} holds the neighbor 4 of 0, of core
+    # degree 1, and the non-neighbor 2 of 3, of core degree 0
+    g = make_graph(5, [(0, 3), (0, 4), (1, 3), (1, 4), (3, 4)])
+    assert not edge_iss_conditions(g, 0, 3).condition_ii
+    assert cores == []
+
+
+def _brute_condition_ii(g, x, y, groups):
+    # is some permutation of the core that keeps its edges a map of the
+    # core neighbors of x onto the core non-neighbors of y?  groups caches
+    # each core's automorphisms, found by trying every permutation
+    core = [v for v in range(g.n) if v not in (x, y)]
+    edges = frozenset((i, j) for j in range(len(core)) for i in range(j) if g.has_edge(core[i], core[j]))
+    key = (len(core), edges)
+    if key not in groups:
+        groups[key] = [p for p in itertools.permutations(range(len(core)))
+                       if all((min(p[i], p[j]), max(p[i], p[j])) in edges for i, j in edges)]
+    a = {i for i, v in enumerate(core) if g.has_edge(x, v)}
+    b = {i for i, v in enumerate(core) if not g.has_edge(y, v)}
+    return any({p[i] for i in a} == b for p in groups[key])
+
+
+def test_condition_ii_matches_brute_force_through_order_seven():
+    # every edge of every isomorphism class of orders 2-7, guards and search alike
+    groups = {}
+    edges = 0
+    for n in range(2, 8):
+        for g in nonisomorphic_graphs(n):
+            for y in range(n):
+                for x in range(y):
+                    if g.has_edge(x, y):
+                        edges += 1
+                        assert edge_iss_conditions(g, x, y).condition_ii == _brute_condition_ii(g, x, y, groups)
+    assert edges == 12_342
 
 
 def test_family_on_three_path():

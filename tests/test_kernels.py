@@ -13,7 +13,7 @@ from seidelkit import _kernels
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import graph_from_code, graph_to_code
-from seidelkit.iso import _form, automorphisms, canonical_form
+from seidelkit.iso import _child, _form, automorphisms, canonical_form
 
 
 def _random_graph(rng, n):
@@ -32,7 +32,8 @@ def test_switch_orbit_scan_matches_switch_set(monkeypatch):
     monkeypatch.setattr(_kernels, "_search_codes", lambda adj, n: batched.append(n) or search_codes(adj, n))
     for g in graphs:
         n = g.n
-        codes = switch_orbit_scan(g.adj, n)
+        code, _, _, _, gens = run_canon(g.adj, n)
+        codes = switch_orbit_scan(g.adj, n, code, gens)
         assert len(codes) == 1 << (n - 1)
         assert _form(n, codes[0]) == canonical_form(g)
         # slot k covers the even mask 2k; odd masks repeat by complement
@@ -97,10 +98,108 @@ def test_two_cell_witness_needs_both_children():
     # one of the two labelings that _batch_inputs holds.
     g = _two_cell_witness()
     adj = _kernels._adjacency([g.adj], 10)
-    assert _kernels._equitable(adj, np.zeros((1, 10), dtype=np.int64)).tolist() == [[0, 0] + [2] * 8]
+    root = _kernels._equitable(adj.astype(np.int64), np.zeros((10, 1), dtype=np.int64))
+    assert root[:, 0].tolist() == [0, 0] + [2] * 8
     _, lab, _, orbit, _ = _kernels._canon(g.adj, 10)
     assert orbit[0] != orbit[1] and lab[0] == 1
     assert _kernels._canon_codes(adj, 10).tolist() != [-1]
+
+
+def _einsum_widths(monkeypatch):
+    # the number of search nodes in each refinement round of _equitable
+    widths = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda spec, adj, w: widths.append(adj.shape[2]) or einsum(spec, adj, w))
+    return widths
+
+
+def _scan_stack(rng, n):
+    # the switches of a random graph of order n by every even mask
+    return _switches(_random_graph(rng, n))
+
+
+def test_batched_codes_on_scan_stacks(monkeypatch):
+    # the switch stacks of orders 8-11, with the default batches (a whole
+    # order-10 stack is one), one search node per batch, and batches of 100
+    # graphs that split each stack
+    rng = random.Random(808)
+    for n in (8, 9, 10, 11):
+        stack = _scan_stack(rng, n)
+        adj = _kernels._adjacency(stack, n)
+        want = _kernels._canon_codes(adj, n)
+        assert (want >= 0).any()
+        for rows, code in zip(stack, want.tolist()):
+            assert code == -1 or code == _kernels._canon(rows, n)[0]
+        default = _kernels._SWEEP_BLOCK
+        if n <= 10:
+            assert default // (n * n) >= len(stack)
+        for size in (1, 100 * n * n):
+            monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", size)
+            assert (_kernels._canon_codes(adj, n) == want).all()
+        monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", default)
+
+
+def test_batched_codes_with_both_children_in_one_batch(monkeypatch):
+    # the order-7 children of some order-6 graphs, as iso._child_codes
+    # stacks them, and the two-cell witness pair.  With the default
+    # batches the two children of a node land in one batch, which then
+    # holds two nodes of one graph; one node per batch gives the same codes.
+    witness = _two_cell_witness()
+    stacks = [(7, [_child(g, m).adj for g in nonisomorphic_graphs(6)[::13] for m in range(64)]),
+              (10, [witness.adj, relabel(witness, [1, 0, *range(2, 10)]).adj])]
+    equitable = _kernels._equitable
+    for n, stack in stacks:
+        assert len(set(stack)) == len(stack)
+        adj = _kernels._adjacency(stack, n)
+        shared = []
+
+        def spy(a, colors):
+            shared.append(len({a[:, :, i].tobytes() for i in range(a.shape[2])}) < a.shape[2])
+            return equitable(a, colors)
+
+        monkeypatch.setattr(_kernels, "_equitable", spy)
+        want = _kernels._canon_codes(adj, n)
+        assert any(shared) and (want >= 0).any()
+        for rows, code in zip(stack, want.tolist()):
+            assert code == -1 or code == _kernels._canon(rows, n)[0]
+        monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", 1)
+        assert (_kernels._canon_codes(adj, n) == want).all()
+        monkeypatch.undo()
+
+
+def test_retired_nodes_keep_their_partitions(monkeypatch):
+    # P10 refines over several rounds, nine stars K_{1,9} over one: once
+    # they retire, every node still holds the partition it reaches alone,
+    # which is the one _refine reaches, as cell start indices
+    widths = _einsum_widths(monkeypatch)
+    p10 = make_graph(10, [(i, i + 1) for i in range(9)])
+    stars = [make_graph(10, [(c, v) for v in range(10) if v != c]) for c in range(1, 10)]
+    graphs = [p10.adj] + [g.adj for g in stars]
+    adj = _kernels._adjacency(graphs, 10).astype(np.int64)
+    colors = _kernels._equitable(adj, np.zeros((10, 10), dtype=np.int64))
+    # every node moves in the first round, only P10 in the second, so the
+    # stars retire after it
+    assert widths[:2] == [10, 10] and widths[2:] and set(widths[2:]) == {1}
+    for i, rows in enumerate(graphs):
+        alone = _kernels._equitable(adj[:, :, i : i + 1], np.zeros((10, 1), dtype=np.int64))
+        assert (colors[:, i : i + 1] == alone).all()
+        cells = _kernels._refine(list(rows), [list(range(10))], [(1 << 10) - 1])
+        assert colors[:, i].tolist() == [next(sum(map(len, cells[:k])) for k, cell in enumerate(cells) if v in cell)
+                                         for v in range(10)]
+
+
+def test_batched_codes_where_nodes_retire(monkeypatch):
+    # scan stacks at orders 8-10: some rounds of the refinement run on
+    # fewer nodes than the batch holds, and the codes still match _canon
+    rng = random.Random(909)
+    for n in (8, 9, 10):
+        stack = _scan_stack(rng, n)
+        widths = _einsum_widths(monkeypatch)
+        codes = _kernels._canon_codes(_kernels._adjacency(stack, n), n)
+        monkeypatch.undo()
+        assert any(b < a for a, b in zip(widths, widths[1:]))
+        for rows, code in zip(stack, codes.tolist()):
+            assert code == -1 or code == _kernels._canon(rows, n)[0]
 
 
 def test_batched_codes_run_in_blocks(monkeypatch):
@@ -115,7 +214,7 @@ def test_batched_codes_refuse_orders_past_int64():
     # C(12, 2) = 66 code bits do not fit
     assert _kernels._CODES_MAX_ORDER == 11
     with pytest.raises(ValueError):
-        _kernels._canon_codes(np.zeros((1, 12, 12), dtype=bool), 12)
+        _kernels._canon_codes(np.zeros((12, 12, 1), dtype=bool), 12)
 
 
 @pytest.mark.parametrize("batch_max_order", [11, 5])

@@ -140,9 +140,9 @@ def test_classes_suite_scans_each_class_once(monkeypatch):
     real = _kernels.switch_orbit_scan
     calls = []
 
-    def counting(rows, n):
+    def counting(rows, n, code, gens):
         calls.append(n)
-        return real(rows, n)
+        return real(rows, n, code, gens)
 
     monkeypatch.setattr(_kernels, "switch_orbit_scan", counting)
     assert verify.suite_classes(6).ok
