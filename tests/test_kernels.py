@@ -105,17 +105,14 @@ def test_two_cell_witness_needs_both_children():
     assert _kernels._canon_codes(adj, 10).tolist() != [-1]
 
 
-def _einsum_widths(monkeypatch):
-    # the number of search nodes in each refinement round of _equitable
-    widths = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda spec, adj, w: widths.append(adj.shape[2]) or einsum(spec, adj, w))
-    return widths
-
-
-def _scan_stack(rng, n):
-    # the switches of a random graph of order n by every even mask
-    return _switches(_random_graph(rng, n))
+def _round_widths(monkeypatch):
+    # per call of _equitable, the number of search nodes in each of its
+    # rounds, each of which runs one einsum
+    calls = []
+    equitable, einsum = _kernels._equitable, np.einsum
+    monkeypatch.setattr(_kernels, "_equitable", lambda adj, colors: calls.append([]) or equitable(adj, colors))
+    monkeypatch.setattr(np, "einsum", lambda spec, adj, w: calls[-1].append(adj.shape[2]) or einsum(spec, adj, w))
+    return calls
 
 
 def test_batched_codes_on_scan_stacks(monkeypatch):
@@ -124,7 +121,7 @@ def test_batched_codes_on_scan_stacks(monkeypatch):
     # graphs that split each stack
     rng = random.Random(808)
     for n in (8, 9, 10, 11):
-        stack = _scan_stack(rng, n)
+        stack = _switches(_random_graph(rng, n))
         adj = _kernels._adjacency(stack, n)
         want = _kernels._canon_codes(adj, n)
         assert (want >= 0).any()
@@ -171,7 +168,7 @@ def test_retired_nodes_keep_their_partitions(monkeypatch):
     # P10 refines over several rounds, nine stars K_{1,9} over one: once
     # they retire, every node still holds the partition it reaches alone,
     # which is the one _refine reaches, as cell start indices
-    widths = _einsum_widths(monkeypatch)
+    calls = _round_widths(monkeypatch)
     p10 = make_graph(10, [(i, i + 1) for i in range(9)])
     stars = [make_graph(10, [(c, v) for v in range(10) if v != c]) for c in range(1, 10)]
     graphs = [p10.adj] + [g.adj for g in stars]
@@ -179,6 +176,7 @@ def test_retired_nodes_keep_their_partitions(monkeypatch):
     colors = _kernels._equitable(adj, np.zeros((10, 10), dtype=np.int64))
     # every node moves in the first round, only P10 in the second, so the
     # stars retire after it
+    widths = calls[0]
     assert widths[:2] == [10, 10] and widths[2:] and set(widths[2:]) == {1}
     for i, rows in enumerate(graphs):
         alone = _kernels._equitable(adj[:, :, i : i + 1], np.zeros((10, 1), dtype=np.int64))
@@ -193,11 +191,11 @@ def test_batched_codes_where_nodes_retire(monkeypatch):
     # fewer nodes than the batch holds, and the codes still match _canon
     rng = random.Random(909)
     for n in (8, 9, 10):
-        stack = _scan_stack(rng, n)
-        widths = _einsum_widths(monkeypatch)
+        stack = _switches(_random_graph(rng, n))
+        calls = _round_widths(monkeypatch)
         codes = _kernels._canon_codes(_kernels._adjacency(stack, n), n)
         monkeypatch.undo()
-        assert any(b < a for a, b in zip(widths, widths[1:]))
+        assert any(widths[-1] < widths[0] for widths in calls)
         for rows, code in zip(stack, codes.tolist()):
             assert code == -1 or code == _kernels._canon(rows, n)[0]
 
