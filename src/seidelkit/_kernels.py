@@ -246,8 +246,7 @@ def _equitable(adj, colors):
     n = len(adj)
     width = n.bit_length()
     weight = np.int64(1) << width * np.arange(n - 1, -1, -1)
-    out = np.empty_like(colors)
-    live = np.arange(colors.shape[1])
+    out = None  # once nodes retire: every node's colours, live holds the rest's columns
     while True:
         key = colors << n * width | np.einsum("vub,ub->vb", adj, weight[colors])
         new = (key < key[:, None]).sum(axis=1, dtype=np.uint8).astype(np.int64)
@@ -255,11 +254,16 @@ def _equitable(adj, colors):
         colors = new
         still = np.count_nonzero(moved)
         if not still:
-            out[:, live] = colors
-            return out
+            break
         if 4 * still < len(moved):
+            if out is None:
+                out, live = np.empty_like(colors), np.arange(len(moved))
             out[:, live[~moved]] = colors[:, ~moved]
             live, adj, colors = live[moved], adj[:, :, moved], colors[:, moved]
+    if out is None:
+        return colors
+    out[:, live] = colors
+    return out
 
 
 def _canon_codes(adj, n):
