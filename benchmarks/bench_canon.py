@@ -19,7 +19,14 @@ percent.  The layers, each the median of REPEAT calls per pair:
   root code and generators as arguments, and is now handed them by one
   `run_canon` call;
 - a cold `nonisomorphic_graphs(7)`, its cache and the search cache
-  cleared before each call.
+  cleared before each call;
+- `switching_class` per graph on seeded random graphs at orders 8 and
+  10, reading the representative and the size as a query does, with the
+  scan warm: the 16 graphs of both layers fit the 16-entry
+  `_switch_orbit_codes` cache, and no other layer calls it, so each
+  call times only what the class does after its scan;
+- `switch_set` per call on seeded random graphs of order 10, each with
+  a random subset.
 
 Every output of the timed calls is hashed per side, and the run stops
 if the two digests differ, so both sides computed the same codes,
@@ -61,6 +68,9 @@ import numpy as np
 # order -> number of seeded random graphs per call of a layer
 RANDOM_GRAPHS = {8: 64, 10: 64, 12: 32}
 SCAN_GRAPHS = {6: 16, 8: 8, 10: 4}
+CLASS_GRAPHS = {8: 8, 10: 8}
+SWITCH_ORDER = 10
+SWITCH_CALLS = 256
 NONISO_ORDER = 7
 REPEAT = 3
 PAIRS = 10
@@ -167,6 +177,19 @@ def _layers(sk):
         return [sk.to_graph6(g) for g in iso.nonisomorphic_graphs(NONISO_ORDER)]
 
     layers[f"nonisomorphic_graphs_{NONISO_ORDER}_cold_s"] = (1.0, 1, noniso)
+
+    def classes(batch):
+        return lambda: [(sc.representative, sc.size) for sc in map(sk.switching_class, batch)]
+
+    for n, count in CLASS_GRAPHS.items():
+        batch = [sk.Graph(n, _random_rows(sk, rng, n)) for _ in range(count)]
+        for g in batch:
+            iso._switch_orbit_codes(g)
+        layers[f"switching_class_random_{n}_ms"] = (1e3, count, classes(batch))
+    n = SWITCH_ORDER
+    calls = [(sk.Graph(n, _random_rows(sk, rng, n)), sk.VertexSet(n, rng.randrange(1 << n)))
+             for _ in range(SWITCH_CALLS)]
+    layers[f"switch_set_{n}_us"] = (1e6, SWITCH_CALLS, lambda: [sk.switch_set(g, s) for g, s in calls])
     return layers
 
 
@@ -199,6 +222,8 @@ def pairs(parent_src, change_src):
            "pairs": PAIRS, "repeat": REPEAT, "seed": SEED,
            "random_graphs": {str(n): c for n, c in RANDOM_GRAPHS.items()},
            "scan_graphs": {str(n): c for n, c in SCAN_GRAPHS.items()},
+           "class_graphs": {str(n): c for n, c in CLASS_GRAPHS.items()},
+           "switch_calls": SWITCH_CALLS,
            "outputs_sha256": digests["change"], "layers": {}}
     for name in sides["parent"]:
         p, c = times["parent"][name], times["change"][name]
@@ -248,8 +273,8 @@ def main(argv=None):
                 "nproc": os.cpu_count(), "loadavg_1m": os.getloadavg()[0]})
     with open(OUT) as f:
         doc = json.load(f)
-    doc["units"] = ("_us microseconds per search, _ms milliseconds per scan or per crossover "
-                    "batch, _s seconds per call")
+    doc["units"] = ("_us microseconds per search or per switch, _ms milliseconds per scan, "
+                    "per switching class or per crossover batch, _s seconds per call")
     doc.setdefault("crossover" if args.crossover else "pairs", []).append(rec)
     with open(OUT, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

@@ -53,6 +53,7 @@ product that is the group order, and ends holding the vertex orbits.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -226,6 +227,23 @@ _CODES_MAX_ORDER = max(n for n in range(1, 64) if n * (n - 1) // 2 <= 63 and (n 
 _SWEEP_BLOCK = 1 << 16
 
 
+@lru_cache(maxsize=None)
+def _order_tables(n):
+    # The read-only constants of _canon_codes and _equitable at order n,
+    # built once per order: the pairs p < q as two index arrays, in leaf
+    # code order; the n * n pair bits, where entries p * n + q and
+    # q * n + p hold the code bit of label positions p and q; and the
+    # weight of each cell's neighbor count in a refinement key, the
+    # first cell highest.
+    p, q = np.array([(p, q) for q in range(n) for p in range(q)], dtype=np.int64).reshape(-1, 2).T
+    pair = np.zeros(n * n, dtype=np.int64)
+    pair[p * n + q] = pair[q * n + p] = np.int64(1) << np.arange(len(p) - 1, -1, -1)
+    weight = np.int64(1) << n.bit_length() * np.arange(n - 1, -1, -1)
+    for table in (p, q, pair, weight):
+        table.flags.writeable = False
+    return p, q, pair, weight
+
+
 def _adjacency(graphs, n):
     # the (n, n, graphs) bool stack of adjacency-row sequences of order n
     rows = np.array(graphs, dtype=np.int64).reshape(-1, n)
@@ -245,7 +263,7 @@ def _equitable(adj, colors):
     # fewer than a quarter of the nodes still move, the others retire.
     n = len(adj)
     width = n.bit_length()
-    weight = np.int64(1) << width * np.arange(n - 1, -1, -1)
+    weight = _order_tables(n)[3]
     out = None  # once nodes retire: every node's colours, live holds the rest's columns
     while True:
         key = colors << n * width | np.einsum("vub,ub->vb", adj, weight[colors])
@@ -279,11 +297,7 @@ def _canon_codes(adj, n):
     if n > _CODES_MAX_ORDER:
         raise ValueError(f"batched codes stop at order {_CODES_MAX_ORDER}")
     block = max(1, _SWEEP_BLOCK // (n * n))
-    # the pairs p < q, in leaf code order; weight[p * n + q] and
-    # weight[q * n + p]: the code bit of label positions p and q
-    p, q = np.array([(p, q) for q in range(n) for p in range(q)], dtype=np.int64).reshape(-1, 2).T
-    weight = np.zeros(n * n, dtype=np.int64)
-    weight[p * n + q] = weight[q * n + p] = np.int64(1) << np.arange(len(p) - 1, -1, -1)
+    p, q, pair, _ = _order_tables(n)
     size = adj.shape[2]
     best = np.full(size, np.iinfo(np.int64).max)
     wide = np.zeros(size, dtype=bool)
@@ -304,7 +318,7 @@ def _canon_codes(adj, n):
             # a leaf puts vertex v at position colour[v]; each edge {p, q}
             # adds the bit of its ends' positions
             c = colors[:, leaf]
-            np.minimum.at(best, graph[leaf], (a[p, q][:, leaf] * weight[c[p] * n + c[q]]).sum(axis=0))
+            np.minimum.at(best, graph[leaf], (a[p, q][:, leaf] * pair[c[p] * n + c[q]]).sum(axis=0))
             target = (cells > 1).argmax(axis=1)
             wide[graph[cells[np.arange(len(graph)), target] > 2]] = True
             keep = ~leaf & ~wide[graph]

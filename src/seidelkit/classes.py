@@ -17,6 +17,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .graphs import Graph, _check_bound
 from .invariants import seidel_char_polys
 from .iso import (
     CanonicalForm,
+    _code,
     _form,
     _forms,
     _switch_orbit_codes,
@@ -40,27 +42,37 @@ CENSUS_MAX_ORDER = 7
 
 @dataclass(frozen=True)
 class SwitchingClass:
-    """Isomorphism classes reachable from one graph by switching."""
+    """Isomorphism classes reachable from one graph by switching.
 
-    representative: CanonicalForm
-    members: frozenset[CanonicalForm]
+    codes holds the members' canonical codes, ascending and distinct, so
+    equal classes compare and hash equal no matter which member seeded
+    the scan.  The member forms are built only when members is read.
+    """
+
+    n: int
+    codes: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.codes)
+
+    @property
+    def representative(self) -> CanonicalForm:
+        """The minimum member."""
+        return _form(self.n, self.codes[0])
+
+    @cached_property
+    def members(self) -> frozenset[CanonicalForm]:
+        return frozenset(_forms(self.n, self.codes))
 
     def __contains__(self, cf: CanonicalForm) -> bool:
-        return cf in self.members
+        # a code alone does not say its order
+        return cf.n == self.n and _code(cf) in self.codes
 
 
 def switching_class(g: Graph) -> SwitchingClass:
-    """The switching class of g, as a set of canonical forms.
-
-    The representative is the minimum member, so equal classes compare
-    equal no matter which member seeded the scan.
-    """
-    members = _forms(g.n, sorted(set(_switch_orbit_codes(g))))
-    return SwitchingClass(members[0], frozenset(members))
+    """The switching class of g, as the canonical codes of its members."""
+    return SwitchingClass(g.n, tuple(sorted(set(_switch_orbit_codes(g)))))
 
 
 @dataclass(frozen=True)

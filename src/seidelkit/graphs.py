@@ -117,6 +117,17 @@ class Graph:
                 if (ri >> j) & 1 != (self.adj[j] >> i) & 1:
                     raise ValueError(f"asymmetric adjacency at {{{i}, {j}}}")
 
+    @classmethod
+    def _of(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Wrap a tuple of rows that the package derived from valid graphs.
+
+        Skips the O(n^2) checks of __post_init__, which such rows pass by
+        construction; input from outside goes through Graph(...) instead.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range for order {self.n}")
@@ -173,7 +184,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((row ^ full) & ~(1 << i) for i, row in enumerate(g.adj))
-    return Graph(g.n, rows)
+    return Graph._of(g.n, rows)
 
 
 def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
@@ -191,7 +202,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
             if (src >> oldj) & 1:
                 row |= 1 << newj
         rows.append(row)
-    return Graph(len(kept), tuple(rows)), remap
+    return Graph._of(len(kept), tuple(rows)), remap
 
 
 def relabel(g: Graph, perm: Permutation) -> Graph:
@@ -209,7 +220,7 @@ def relabel(g: Graph, perm: Permutation) -> Graph:
             src >>= 1
             j += 1
         rows[perm[i]] = row
-    return Graph(g.n, tuple(rows))
+    return Graph._of(g.n, tuple(rows))
 
 
 def _upper_bits(rows, lab) -> int:
@@ -270,4 +281,4 @@ def graph_from_code(n: int, code: int) -> Graph:
     npairs = n * (n - 1) // 2
     if code < 0 or code >> npairs:
         raise ValueError(f"code {code} out of range for order {n}")
-    return Graph(n, tuple(_upper_rows(n, _reversed_bits(code, npairs))))
+    return Graph._of(n, tuple(_upper_rows(n, _reversed_bits(code, npairs))))

@@ -81,7 +81,7 @@ def canonical_labeling(g: Graph) -> Permutation:
 
 def canonical_graph(cf: CanonicalForm) -> Graph:
     """The representative graph encoded by a canonical form."""
-    return Graph(cf.n, tuple(_upper_rows(cf.n, _code(cf))))
+    return Graph._of(cf.n, tuple(_upper_rows(cf.n, _code(cf))))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -196,4 +196,4 @@ def _child_codes(graphs: list[Graph], k: int) -> list[int]:
 def _child(g: Graph, mask: int) -> Graph:
     # g with a new last vertex joined to the vertices of mask
     rows = [row | ((mask >> i) & 1) << g.n for i, row in enumerate(g.adj)]
-    return Graph(g.n + 1, (*rows, mask))
+    return Graph._of(g.n + 1, (*rows, mask))

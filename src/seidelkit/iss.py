@@ -143,9 +143,8 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
     maps the core neighbors of x onto the core non-neighbors of y.  For
     order 2 the core is empty and the condition holds vacuously.
     """
-    _check_edge(g, x, y)
+    direct = edge_iss_direct(g, x, y)  # raises ValueError for a non-edge
     n = g.n
-    direct = edge_iss_direct(g, x, y)
     condition_i = g.degree(x) + g.degree(y) == n
     rest = ((1 << n) - 1) & ~(1 << x) & ~(1 << y)
     a_mask = g.adj[x] & rest
@@ -199,7 +198,7 @@ def edge_removed_agreement(g: Graph, x: int, y: int) -> bool:
     rows = list(g.adj)
     rows[x] &= ~(1 << y)
     rows[y] &= ~(1 << x)
-    h = Graph(g.n, tuple(rows))
+    h = Graph._of(g.n, tuple(rows))
     pair = VertexSet.from_indices(g.n, (x, y))
     return edge_iss_direct(g, x, y) == is_iss(h, pair)
 
@@ -217,5 +216,5 @@ def complemented_core_agreement(g: Graph, x: int, y: int) -> bool:
     for i in range(n):
         if (rest >> i) & 1:
             rows[i] = (rows[i] ^ rest) & ~(1 << i)
-    h = Graph(n, tuple(rows))
+    h = Graph._of(n, tuple(rows))
     return edge_iss_direct(h, x, y) == edge_iss_direct(g, x, y)

@@ -23,7 +23,7 @@ def switch_set(g: Graph, s: VertexSet) -> Graph:
     switching by the empty set or the full set is the identity.
     """
     _check_ambient(g, s)
-    return Graph(g.n, tuple(_switch_rows(g.adj, s.mask)))
+    return Graph._of(g.n, tuple(_switch_rows(g.adj, s.mask)))
 
 
 def switch_vertex(g: Graph, v: int) -> Graph:

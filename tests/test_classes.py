@@ -14,11 +14,12 @@ from seidelkit.classes import (
     switching_class,
 )
 from seidelkit.generators import complete, cycle, empty, path, paw
-from seidelkit.graphs import graph_from_code
+from seidelkit.graphs import graph_from_code, relabel
 from seidelkit.invariants import seidel_char_poly
 from seidelkit.iso import (
     SWITCH_SCAN_MAX_ORDER,
     _canon_record,
+    _forms,
     _switch_orbit_codes,
     canonical_form,
     canonical_graph,
@@ -65,6 +66,36 @@ def test_representative_is_minimum_member():
     sc = switching_class(paw())
     assert sc.representative == min(sc.members)
     assert sc.representative in sc.members
+
+
+def test_switching_class_matches_the_forms_of_its_scan():
+    # every graph to order 6 and one relabeling of each: the class built
+    # from codes answers as the frozenset of member forms would
+    rng = random.Random(6)
+    for n in range(1, 7):
+        reps = nonisomorphic_graphs(n)
+        classes = {}
+        for g in reps:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(g, tuple(perm))
+            forms = frozenset(_forms(n, _switch_orbit_codes(g)))
+            sc = switching_class(g)
+            assert "members" not in vars(sc)  # built when first read
+            assert sc.size == len(forms)
+            assert sc.representative == min(forms)
+            assert sc.members == forms and sc.members is sc.members
+            other = switching_class(h)
+            assert other == sc and hash(other) == hash(sc)
+            for cf in map(canonical_form, reps):
+                assert (cf in sc) == (cf in forms)
+            # the same codes at another order name other graphs
+            for m in (n - 1, n + 1):
+                fits = [c for c in sc.codes if m and not c >> m * (m - 1) // 2]
+                assert not any(f in sc for f in _forms(m, fits))
+            classes.setdefault(forms, set()).add(sc)
+        assert all(len(scs) == 1 for scs in classes.values())
+        assert len(classes) == CLASS_COUNTS[n]
 
 
 def test_census_counts():

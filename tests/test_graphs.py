@@ -1,15 +1,23 @@
+import random
+import sys
+
 import pytest
 
 from seidelkit import (
     Graph,
     VertexSet,
+    canonical_form,
+    canonical_graph,
     complement,
     graph_from_code,
     graph_to_code,
     induced_subgraph,
     make_graph,
     relabel,
+    switch_set,
 )
+from seidelkit.iso import _child, all_graphs
+from seidelkit.iss import complemented_core_agreement, edge_removed_agreement
 
 
 def test_make_graph_basic():
@@ -128,3 +136,45 @@ def test_graph_is_hashable_value_type():
     b = make_graph(3, [(1, 0)])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_derived_graphs_pass_the_checks_they_skip(monkeypatch):
+    # every graph the package builds with Graph._of, which skips the row
+    # checks, must equal the graph Graph(...) builds from its rows with them
+    wrap = Graph._of
+    built = {}
+
+    def spy(cls, n, adj):
+        h = wrap(n, adj)
+        built.setdefault(sys._getframe(1).f_code.co_name, []).append(h)
+        return h
+
+    monkeypatch.setattr(Graph, "_of", classmethod(spy))
+    rng = random.Random(15)
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    for n in range(6, 13):
+        for _ in range(12):
+            graphs.append(make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]))
+    for g in graphs:
+        n = g.n
+        complement(g)
+        switch_set(g, VertexSet(n, rng.randrange(1 << n)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabel(g, tuple(perm))
+        induced_subgraph(g, VertexSet(n, rng.randrange(1, 1 << n)))
+        graph_from_code(n, graph_to_code(g))
+        canonical_graph(canonical_form(g))
+        if n < 12:
+            _child(g, rng.randrange(1 << n))
+        if g.edge_count():
+            x, y = rng.choice(g.edges())
+            edge_removed_agreement(g, x, y)
+            complemented_core_agreement(g, x, y)
+    assert set(built) == {
+        "complement", "switch_set", "relabel", "induced_subgraph", "graph_from_code",
+        "canonical_graph", "_child", "edge_removed_agreement", "complemented_core_agreement",
+    }
+    for hs in built.values():
+        for h in hs:
+            assert Graph(h.n, h.adj) == h
