@@ -119,7 +119,8 @@ class Graph:
 
     @classmethod
     def _of(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """Wrap a tuple of rows that the package derived from valid graphs.
+        """Wrap a tuple of rows that the package derived from a valid graph
+        or a checked code.
 
         Skips the O(n^2) checks of __post_init__, which such rows pass by
         construction; input from outside goes through Graph(...) instead.
