@@ -126,7 +126,10 @@ class Graph:
         construction; input from outside goes through Graph(...) instead.
         """
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj)
+        # attribute by attribute, as the dataclass __init__ does: reading
+        # g.__dict__ here would give every graph a dict of its own
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
         return g
 
     def _check_vertex(self, v: int) -> None:
