@@ -5,7 +5,12 @@ parent's under another module name, and times the same layers on each
 in turn, alternating which side goes first.  Separate processes on a
 shared machine spread 20-30% from one another, more than the ~10%
 per-layer bound; interleaved in one process, the pairs resolve a few
-percent.  The layers, each the median of REPEAT calls per pair:
+percent.  The layers, each the median of REPEAT calls per pair, with
+the search caches (the memo `_kernels.run_canon`, or the Graph-keyed
+`iso._canon_record` cache at checkouts without it) cleared before each
+graph's search or scan and each generation, so every call times
+searches, not the answers for a graph met before; the relabelled
+complete and empty graphs repeat the rows of the graph as built:
 
 - `_kernels.run_canon` per graph on seeded uniform random graphs (edge
   probability 1/2) at orders 8, 10 and 12, and on a symmetric set:
@@ -18,7 +23,7 @@ percent.  The layers, each the median of REPEAT calls per pair:
   the graph's own search: the scan ran it itself before it took the
   root code and generators as arguments, and is now handed them by one
   `run_canon` call;
-- a cold `nonisomorphic_graphs(7)`, its cache and the search cache
+- a cold `nonisomorphic_graphs(7)`, its cache and the search caches
   cleared before each call;
 - `switching_class` per graph on seeded random graphs at orders 8 and
   10, reading the representative and the size as a query does, with the
@@ -116,6 +121,19 @@ def _load(src, name):
     return pkg
 
 
+def _cold(sk):
+    # a call that empties the search memo or the Graph-keyed record
+    # cache, whichever of the two the checkout has
+    caches = [getattr(f, "cache_clear", None) for f in (sk._kernels.run_canon, sk.iso._canon_record)]
+    caches = [clear for clear in caches if clear is not None]
+
+    def cold():
+        for clear in caches:
+            clear()
+
+    return cold
+
+
 def _random_rows(sk, rng, n):
     return sk.make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]).adj
 
@@ -136,16 +154,22 @@ def _layers(sk):
     gen = sk.generators
     rng = random.Random(SEED)
     kernels, iso = sk._kernels, sk.iso
+    cold = _cold(sk)
     layers = {}
 
+    def search(rows):
+        cold()
+        return kernels.run_canon(rows, len(rows))
+
     def canon(batch):
-        return lambda: [kernels.run_canon(rows, len(rows)) for rows in batch]
+        return lambda: [search(rows) for rows in batch]
 
     # a scan starts from the graph's own search: inside the scan at
     # checkouts whose scan takes (rows, n), passed in at later ones
     own_search = len(inspect.signature(kernels.switch_orbit_scan).parameters) == 2
 
     def scan_one(rows):
+        cold()
         n = len(rows)
         if own_search:
             return kernels.switch_orbit_scan(rows, n)
@@ -172,7 +196,7 @@ def _layers(sk):
     layers["switch_orbit_scan_symmetric_ms"] = (1e3, len(batch), scan(batch))
 
     def noniso():
-        iso._canon_record.cache_clear()
+        cold()
         iso.nonisomorphic_graphs.cache_clear()
         return [sk.to_graph6(g) for g in iso.nonisomorphic_graphs(NONISO_ORDER)]
 
@@ -236,6 +260,12 @@ def pairs(parent_src, change_src):
 def crossover(src):
     sk = _load(src, "seidelkit")
     kernels = sk._kernels
+    cold = _cold(sk)
+
+    def slot_codes(rows, n, slots):
+        cold()
+        return kernels._slot_codes(rows, n, slots)
+
     rng = random.Random(SEED)
     default = kernels._SCAN_BATCH_MIN
     rec = {"commit": _commit(src), "repeat": REPEAT, "seed": SEED,
@@ -252,7 +282,7 @@ def crossover(src):
                     for way, threshold in (("per_slot", k + 1), ("batch", 0)):
                         kernels._SCAN_BATCH_MIN = threshold
                         got[way].append(1e3 * _median_s(
-                            lambda: [kernels._slot_codes(rows, n, slots) for rows in batch]) / len(batch))
+                            lambda: [slot_codes(rows, n, slots) for rows in batch]) / len(batch))
                 rec["ms"][f"{n}:{k}"] = {way: statistics.median(ts) for way, ts in got.items()}
     finally:
         kernels._SCAN_BATCH_MIN = default

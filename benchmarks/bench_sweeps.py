@@ -4,8 +4,10 @@ Times, in one process, the switching-algebra sweep `algebra_sweep(1..5)`,
 the invariants, classes, iss and edge-iss suites at order 6, `census(7)`
 and the exact Seidel polynomial per graph at orders 6, 8, 12, 13 and 16,
 both batched and as a batch of one.  Each timing is the median of REPEAT
-runs; the iss and edge-iss runs each start with the search caches
-cleared.  The random graphs come from SEED.  The process's peak RSS
+runs; each suite and census run starts with the search caches cleared
+(the search memo `_kernels.run_canon`, or the Graph-keyed record cache
+at checkouts without it, and the scan cache), so it times searches, not
+cache hits.  The random graphs come from SEED.  The process's peak RSS
 (`ru_maxrss`) is recorded after each item, so a rise shows where it
 happened.  The batched and single polynomials are compared before they
 are timed.
@@ -74,26 +76,31 @@ def measure():
     import numpy as np
     from seidelkit import _kernels, classes, invariants, iso, make_graph, verify
 
+    # the graphs stay cached, the searches do not: a repeat would otherwise
+    # time cache hits wherever the suite's searches fit in the cache
+    caches = [getattr(f, "cache_clear", None)
+              for f in (_kernels.run_canon, iso._canon_record, iso._switch_orbit_codes)]
+    caches = [clear for clear in caches if clear is not None]
+
+    def cold(call):
+        return lambda: ([clear() for clear in caches], call())
+
     peak = {"import": _peak_rss_mb()}
     rec = {}
     rec["algebra_sweep_1_5_s"] = _median_s(lambda: [_kernels.algebra_sweep(n) for n in range(1, 6)])
     peak["algebra_sweep"] = _peak_rss_mb()
     verify.suite_invariants(6)  # fills the representative caches once
-    rec["suite_invariants_6_s"] = _median_s(lambda: verify.suite_invariants(6))
+    rec["suite_invariants_6_s"] = _median_s(cold(lambda: verify.suite_invariants(6)))
     peak["suite_invariants"] = _peak_rss_mb()
     verify.suite_classes(6)
-    rec["suite_classes_6_s"] = _median_s(lambda: verify.suite_classes(6))
+    rec["suite_classes_6_s"] = _median_s(cold(lambda: verify.suite_classes(6)))
     peak["suite_classes"] = _peak_rss_mb()
-    # the graphs stay cached, the searches do not: a repeat would otherwise
-    # time cache hits wherever the suite's searches fit in the cache
     for name in ("iss", "edge_iss"):
         suite = getattr(verify, f"suite_{name}")
-        rec[f"suite_{name}_6_s"] = _median_s(lambda: (iso._canon_record.cache_clear(),
-                                                       iso._switch_orbit_codes.cache_clear(),
-                                                       suite(6)))
+        rec[f"suite_{name}_6_s"] = _median_s(cold(lambda: suite(6)))
         peak[f"suite_{name}"] = _peak_rss_mb()
     classes.census(7)
-    rec["census_7_s"] = _median_s(lambda: classes.census(7))
+    rec["census_7_s"] = _median_s(cold(lambda: classes.census(7)))
     peak["census_7"] = _peak_rss_mb()
 
     batched = getattr(invariants, "seidel_char_polys", None)

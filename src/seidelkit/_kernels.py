@@ -16,7 +16,9 @@ graph whose search meets a cell of three or more vertices gets -1 and
 goes back to the pruned single search: an empty or complete graph would
 otherwise expand n! leaves.  Through order _CODES_MAX_ORDER a code fits
 in an int64; past it the batch refuses, and nonisomorphic_graphs
-searches each child alone.
+searches each child alone.  Each single search goes through run_canon,
+a memo keyed by the rows, so a graph that a scan, a reader and a suite
+all meet is searched once; batch codes never enter it.
 
 The stack axis comes last: a stack is (n, n, graphs) bool, and a batch
 of search nodes holds its adjacency as (n, n, nodes) int64 and its
@@ -217,6 +219,28 @@ def _canon(rows, n):
     return best[0], best[1], count, orbit, tuple(gens)
 
 
+# Entries of the search memo.  A verify --max-order 6 run repeats 1292 of
+# its 4564 searches; by their LRU stack distances 1024 entries hold 672
+# of the repeats, 2048 hold 1115 and 4096 hold all of them.
+_CANON_MEMO = 1 << 11
+
+
+@lru_cache(maxsize=_CANON_MEMO)
+def run_canon(rows, n):
+    """The canonical search of a tuple of adjacency rows, memoized.
+
+    Returns (code, bestlab, aut_count, orbit, generators).  code is the
+    canonical upper-triangle bit string as one int; bestlab maps new
+    label -> old vertex; aut_count is the automorphism group order;
+    orbit holds the automorphism orbit root (least member) of each
+    vertex; generators is a tuple of automorphisms, each as image[v],
+    that generate the group (empty when it is trivial).  Every single
+    search of the package comes through here, so a graph met again by
+    another reader, scan or suite is searched once.
+    """
+    return _canon(rows, n)
+
+
 # The batched search keeps each leaf code, C(n, 2) bits, in one int64,
 # and each refinement key: a colour above n neighbor counts, each
 # n.bit_length() bits wide.
@@ -340,7 +364,7 @@ def _search_codes(adj, n):
     bit = np.int64(1) << np.arange(n)
     for i, code in enumerate(codes):
         if code < 0:
-            codes[i] = _canon((adj[:, :, i] @ bit).tolist(), n)[0]
+            codes[i] = run_canon(tuple((adj[:, :, i] @ bit).tolist()), n)[0]
     return codes
 
 
@@ -352,7 +376,7 @@ _SCAN_BATCH_MIN = 12
 def _slot_codes(rows, n, slots):
     # the canonical code of rows switched by the subset 2k, for each slot k
     if len(slots) < _SCAN_BATCH_MIN:
-        return [_canon(_switch_rows(rows, k << 1), n)[0] for k in slots]
+        return [run_canon(tuple(_switch_rows(rows, k << 1)), n)[0] for k in slots]
     # side[v, i]: whether v is in subset i; a switch toggles exactly the
     # pairs whose ends lie on different sides
     side = ((np.array(slots) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
@@ -363,7 +387,7 @@ def switch_orbit_scan(rows, n, code, gens):
     """Canonical code of the switch of rows by every even-mask subset, as a tuple.
 
     code and gens are the graph's own canonical code and automorphism
-    generators, as _canon returns them.  Index k holds the code for
+    generators, as run_canon returns them.  Index k holds the code for
     subset mask 2k; odd masks are covered by complement equivalence.
     Index 0 is code.  An automorphism s of the graph maps the switch by
     S onto the switch by s(S), so only the least slot of each class
@@ -512,16 +536,3 @@ def algebra_sweep(n):
                 s, t = np.unravel_index(fails5[i].argmax(), fails5[i].shape)
                 witness = (lo + i, int(s), int(t), 5)
     return (ncodes, checks, bad) + witness
-
-
-def run_canon(rows, n):
-    """Run the canonical search once on an int sequence of adjacency rows.
-
-    Returns (code, bestlab, aut_count, orbit, generators).  code is the
-    canonical upper-triangle bit string as one int; bestlab maps new
-    label -> old vertex; aut_count is the automorphism group order;
-    orbit holds the automorphism orbit root (least member) of each
-    vertex; generators is a tuple of automorphisms, each as image[v],
-    that generate the group (empty when it is trivial).
-    """
-    return _canon(rows, n)

@@ -46,11 +46,9 @@ def _code(cf: CanonicalForm) -> int:
     return int.from_bytes(cf.bits, "big") >> (8 * len(cf.bits) - cf.n * (cf.n - 1) // 2)
 
 
-# The only call of the search in this module; every reader below takes
-# its answer from this record.  Repeats come close together (within one
-# query or one sweep step), so a small cache keeps nearly every hit
-# while its memory stays bounded.
-@lru_cache(maxsize=1 << 10)
+# Every reader below takes its answer from this record; the search
+# behind it is _kernels.run_canon's memo, shared with the switch-orbit
+# scan and generation, so a graph is searched once whichever meets it.
 def _canon_record(g: Graph) -> tuple:
     """(form, labeling, |Aut|, orbit roots, generators) from one search."""
     _check_bound(g.n, CANONICAL_MAX_ORDER)
@@ -159,13 +157,15 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     order's children are searched as numpy batches, and the first child
     of each form, in parent then mask order, represents it.
     """
+    if n < 1:
+        raise ValueError("order must be positive")
     _check_bound(n, CANONICAL_MAX_ORDER)
     reps = {0: Graph(1, (0,))}
     for k in range(2, n + 1):
         graphs = list(reps.values())
         nmask = 1 << (k - 1)
         if k > _kernels._CODES_MAX_ORDER:
-            codes = [_kernels._canon(_child(g, m).adj, k)[0] for g in graphs for m in range(nmask)]
+            codes = [_kernels.run_canon(_child(g, m).adj, k)[0] for g in graphs for m in range(nmask)]
         else:
             codes = _child_codes(graphs, k)
         first = {}

@@ -194,13 +194,12 @@ def edge_removed_agreement(g: Graph, x: int, y: int) -> bool:
     Compares the verdict for {x, y} on g with the verdict for the same
     pair on g minus the edge.  Agreement is measured, not assumed.
     """
-    _check_edge(g, x, y)
+    direct = edge_iss_direct(g, x, y)  # raises ValueError for a non-edge
     rows = list(g.adj)
     rows[x] &= ~(1 << y)
     rows[y] &= ~(1 << x)
     h = Graph._of(g.n, tuple(rows))
-    pair = VertexSet.from_indices(g.n, (x, y))
-    return edge_iss_direct(g, x, y) == is_iss(h, pair)
+    return is_iss(h, VertexSet.from_indices(g.n, (x, y))) == direct
 
 
 def complemented_core_agreement(g: Graph, x: int, y: int) -> bool:
@@ -209,7 +208,7 @@ def complemented_core_agreement(g: Graph, x: int, y: int) -> bool:
     Builds g with all adjacencies away from x and y flipped (the two
     stars stay put, the edge xy stays put) and compares verdicts.
     """
-    _check_edge(g, x, y)
+    direct = edge_iss_direct(g, x, y)  # raises ValueError for a non-edge
     n = g.n
     rest = ((1 << n) - 1) & ~(1 << x) & ~(1 << y)
     rows = list(g.adj)
@@ -217,4 +216,4 @@ def complemented_core_agreement(g: Graph, x: int, y: int) -> bool:
         if (rest >> i) & 1:
             rows[i] = (rows[i] ^ rest) & ~(1 << i)
     h = Graph._of(n, tuple(rows))
-    return edge_iss_direct(h, x, y) == edge_iss_direct(g, x, y)
+    return is_iss(h, VertexSet.from_indices(n, (x, y))) == direct

@@ -22,7 +22,6 @@ from seidelkit.generators import (
 from seidelkit.graphs import graph_from_code
 from seidelkit.iso import (
     CANONICAL_MAX_ORDER,
-    _canon_record,
     all_graphs,
     automorphism_count,
     automorphisms,
@@ -285,7 +284,7 @@ def test_order_bounds_enforced():
     with pytest.raises(ValueError):
         similarity_orbits(big)
     # every reader accepts the search's own bound, even on the largest groups
-    _canon_record.cache_clear()
+    _kernels.run_canon.cache_clear()
     for g in (empty(CANONICAL_MAX_ORDER), complete(CANONICAL_MAX_ORDER)):
         t = time.perf_counter()
         assert automorphisms(g).order == math.factorial(CANONICAL_MAX_ORDER)
@@ -293,16 +292,22 @@ def test_order_bounds_enforced():
         assert time.perf_counter() - t < 1.0
 
 
+def test_generation_refuses_orders_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            nonisomorphic_graphs(n)
+
+
 def test_one_search_answers_every_reader(monkeypatch):
     calls = []
-    search = _kernels.run_canon
+    search = _kernels._canon
 
     def counted(rows, n):
         calls.append(n)
         return search(rows, n)
 
-    monkeypatch.setattr(_kernels, "run_canon", counted)
-    _canon_record.cache_clear()
+    monkeypatch.setattr(_kernels, "_canon", counted)
+    _kernels.run_canon.cache_clear()
     g = prism_c3p2()
     canonical_form(g)
     canonical_labeling(g)

@@ -22,7 +22,6 @@ from seidelkit.generators import (
 from seidelkit.iso import (
     CANONICAL_MAX_ORDER,
     SWITCH_SCAN_MAX_ORDER,
-    _canon_record,
     is_isomorphic,
     nonisomorphic_graphs,
     similarity_orbits,
@@ -99,8 +98,8 @@ def _counting(monkeypatch, module, name):
 
 
 def test_is_iss_skips_the_search_when_degrees_differ(monkeypatch):
-    searches = _counting(monkeypatch, _kernels, "run_canon")
-    _canon_record.cache_clear()
+    searches = _counting(monkeypatch, _kernels, "_canon")
+    _kernels.run_canon.cache_clear()
     # switching an end of P5 joins it to 2, 3, 4: the degrees change
     assert not is_iss(path(5), VertexSet.singleton(5, 0))
     assert searches == []
@@ -279,12 +278,10 @@ def test_complete_bipartite_edges_all_qualify():
 
 def test_conditions_require_an_edge():
     g = path(3)
-    with pytest.raises(ValueError):
-        edge_iss_conditions(g, 0, 2)
-    with pytest.raises(ValueError):
-        edge_iss_conditions(g, 0, 0)
-    with pytest.raises(ValueError):
-        edge_iss_direct(g, 0, 2)
+    for check in (edge_iss_conditions, edge_iss_direct, edge_removed_agreement, complemented_core_agreement):
+        for x, y in ((0, 2), (0, 0)):
+            with pytest.raises(ValueError):
+                check(g, x, y)
 
 
 def test_conditions_sufficient_on_all_small_graphs():

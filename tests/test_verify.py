@@ -7,7 +7,7 @@ import pytest
 from seidelkit import _kernels, complement, to_graph6, verify
 from seidelkit.classes import switching_class
 from seidelkit.generators import empty
-from seidelkit.iso import _canon_record, _switch_orbit_codes, canonical_form, nonisomorphic_graphs
+from seidelkit.iso import _switch_orbit_codes, canonical_form, nonisomorphic_graphs
 
 
 def test_suite_result_check_counts_and_records_failures():
@@ -132,11 +132,31 @@ def test_classes_suite_reports_a_planted_class_size(monkeypatch):
     ]
 
 
+def test_suites_search_each_graph_once(monkeypatch):
+    # the scans, the readers and generation share one memo of the search,
+    # so no rows are searched twice across the iss, edge-iss and classes
+    # suites
+    real = _kernels._canon
+    searched = Counter()
+
+    def counting(rows, n):
+        searched[tuple(rows)] += 1
+        return real(rows, n)
+
+    monkeypatch.setattr(_kernels, "_canon", counting)
+    _switch_orbit_codes.cache_clear()
+    nonisomorphic_graphs.cache_clear()
+    _kernels.run_canon.cache_clear()
+    for suite in (verify.suite_iss, verify.suite_edge_iss, verify.suite_classes):
+        assert suite(5).ok
+    assert searched and max(searched.values()) == 1
+
+
 def test_classes_suite_scans_each_class_once(monkeypatch):
     # the census scans each of the 1 + 1 + 2 + 3 + 7 + 16 classes of
     # orders 1-6; the complement and order-4 checks read its table
     _switch_orbit_codes.cache_clear()
-    _canon_record.cache_clear()
+    _kernels.run_canon.cache_clear()
     real = _kernels.switch_orbit_scan
     calls = []
 
