@@ -1,47 +1,79 @@
 """Layer timings for the sweeps of `verify` and the exact Seidel polynomial.
 
-Times, in one process, the switching-algebra sweep `algebra_sweep(1..5)`,
-the invariants, classes, iss and edge-iss suites at order 6, `census(7)`
-and the exact Seidel polynomial per graph at orders 6, 8, 12, 13 and 16,
-both batched and as a batch of one.  Each timing is the median of REPEAT
-runs; each suite and census run starts with the search caches cleared
-(the search memo `_kernels.run_canon`, or the Graph-keyed record cache
-at checkouts without it, and the scan cache), so it times searches, not
-cache hits.  The random graphs come from SEED.  The process's peak RSS
-(`ru_maxrss`) is recorded after each item, so a rise shows where it
-happened.  The batched and single polynomials are compared before they
-are timed.
+Loads the seidelkit package of two checkouts into one process, the
+parent's under another module name, as `bench_canon.py` does, and times
+the same layers on each in turn, alternating which side goes first:
+separate processes on a shared machine spread 20-30% from one another,
+more than the ~10% per-layer bound.  The layers, each the median of
+REPEAT calls per pair:
+
+- the switching-algebra sweep `algebra_sweep(1..5)`;
+- the invariants, classes, iss and edge-iss suites at order 6 and
+  `census(7)`, each call started with the search caches cleared (the
+  search memo `_kernels.run_canon`, or the Graph-keyed record cache at
+  checkouts without it, and the scan cache), so it times searches, not
+  cache hits;
+- the exact Seidel polynomial per graph of POLY_GRAPHS seeded random
+  graphs at orders 6, 8, 12, 13 and 16, both batched and as a batch of
+  one.
+
+Every output of the timed calls (each `algebra_sweep` tuple, each
+suite's lines, checks, violations and findings, the census records and
+the polynomials) is hashed per side, and the run stops if the two
+digests differ.  The batched and single polynomials are compared before
+they are timed.
+
+Once per side, a fresh interpreter times one cold
+`nonisomorphic_graphs(GENERATION_ORDER)`, the largest order that
+generation accepts, and reports its peak RSS (`ru_maxrss`); the run
+stops if the two sides' representatives differ.
 
 Run from the repository root:
 
-    python benchmarks/bench_sweeps.py --label change
-    python benchmarks/bench_sweeps.py --src OTHER_CHECKOUT/src --label parent
+    python benchmarks/bench_sweeps.py --parent PARENT_CHECKOUT/src
 
-Each run appends its record to the list under its label in
-benchmarks/BENCH_sweeps.json.  Alternate the labels over several runs:
-on a shared machine one process's timings can sit 30% off another's.
-A checkout without `seidel_char_polys` gets null for the batched
-timings.
+Each run appends its record to the `pairs` list in
+benchmarks/BENCH_sweeps.json.  The `runs` lists hold the records of the
+earlier mode, one process per side.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib
 import json
 import os
 import platform
 import random
-import resource
 import statistics
 import subprocess
 import sys
 import time
 
+import numpy as np
+
+from bench_canon import _commit, _load, _quartiles
+
 # order -> number of seeded random graphs timed at that order
 POLY_GRAPHS = {6: 256, 8: 256, 12: 64, 13: 32, 16: 16}
+GENERATION_ORDER = 8
 REPEAT = 5
+PAIRS = 10
 SEED = 1
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_sweeps.json")
+
+# run in a fresh interpreter with the checkout's src and the order as arguments
+GENERATION = """
+import hashlib, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from seidelkit import nonisomorphic_graphs, to_graph6
+t = time.perf_counter()
+reps = nonisomorphic_graphs(int(sys.argv[2]))
+s = time.perf_counter() - t
+text = "\\n".join(map(to_graph6, reps))
+print(s, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, hashlib.sha256(text.encode()).hexdigest())
+"""
 
 
 def _median_s(fn):
@@ -53,104 +85,109 @@ def _median_s(fn):
     return statistics.median(times)
 
 
-def _peak_rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-
-
-def _commit(src):
-    # dirty means uncommitted changes under src alone: this script's own
-    # BENCH_*.json record in the same checkout does not count
-    def git(*args):
-        return subprocess.run(["git", "-C", src, *args],
-                              capture_output=True, text=True, check=True).stdout.strip()
-
-    try:
-        head = git("describe", "--always")
-        dirty = git("status", "--porcelain", "--", ".")
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return head + "-dirty" if dirty else head
-
-
-def measure():
-    import numpy as np
-    from seidelkit import _kernels, classes, invariants, iso, make_graph, verify
-
+def _layers(sk):
+    # layer name -> (unit scale, per-call divisor, call); one call runs the whole batch
+    kernels, iso = sk._kernels, sk.iso
+    verify = importlib.import_module(f"{sk.__name__}.verify")
     # the graphs stay cached, the searches do not: a repeat would otherwise
     # time cache hits wherever the suite's searches fit in the cache
     caches = [getattr(f, "cache_clear", None)
-              for f in (_kernels.run_canon, iso._canon_record, iso._switch_orbit_codes)]
+              for f in (kernels.run_canon, iso._canon_record, iso._switch_orbit_codes)]
     caches = [clear for clear in caches if clear is not None]
 
     def cold(call):
-        return lambda: ([clear() for clear in caches], call())
+        def run():
+            for clear in caches:
+                clear()
+            return call()
 
-    peak = {"import": _peak_rss_mb()}
-    rec = {}
-    rec["algebra_sweep_1_5_s"] = _median_s(lambda: [_kernels.algebra_sweep(n) for n in range(1, 6)])
-    peak["algebra_sweep"] = _peak_rss_mb()
-    verify.suite_invariants(6)  # fills the representative caches once
-    rec["suite_invariants_6_s"] = _median_s(cold(lambda: verify.suite_invariants(6)))
-    peak["suite_invariants"] = _peak_rss_mb()
-    verify.suite_classes(6)
-    rec["suite_classes_6_s"] = _median_s(cold(lambda: verify.suite_classes(6)))
-    peak["suite_classes"] = _peak_rss_mb()
-    for name in ("iss", "edge_iss"):
-        suite = getattr(verify, f"suite_{name}")
-        rec[f"suite_{name}_6_s"] = _median_s(cold(lambda: suite(6)))
-        peak[f"suite_{name}"] = _peak_rss_mb()
-    classes.census(7)
-    rec["census_7_s"] = _median_s(cold(lambda: classes.census(7)))
-    peak["census_7"] = _peak_rss_mb()
+        return run
 
-    batched = getattr(invariants, "seidel_char_polys", None)
-    single = invariants.seidel_char_poly
+    def suite(name):
+        def run():
+            res = getattr(verify, f"suite_{name}")(6)
+            return res.lines, res.checks, res.violations, res.findings
+
+        return cold(run)
+
+    layers = {"algebra_sweep_1_5_s": (1.0, 1, lambda: [kernels.algebra_sweep(n) for n in range(1, 6)])}
+    for name in ("invariants", "classes", "iss", "edge_iss"):
+        layers[f"suite_{name}_6_s"] = (1.0, 1, suite(name))
+    layers["census_7_s"] = (1.0, 1, cold(lambda: sk.classes.census(7)))
+    single, batched = sk.invariants.seidel_char_poly, sk.invariants.seidel_char_polys
     rng = random.Random(SEED)
-    poly = {}
     for n, count in POLY_GRAPHS.items():
-        graphs = [make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+        graphs = [sk.make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
                   for _ in range(count)]
-        want = [single(g) for g in graphs]
-        row = {"graphs": count, "batched_us": None}
-        row["batch_of_one_us"] = 1e6 * _median_s(lambda: [single(g) for g in graphs]) / count
-        if batched is not None:
-            if batched(graphs) != want:
-                raise SystemExit(f"batched and single polynomials differ at order {n}")
-            row["batched_us"] = 1e6 * _median_s(lambda: batched(graphs)) / count
-        poly[str(n)] = row
-    peak["polynomial"] = _peak_rss_mb()
-    rec["seidel_char_poly_per_graph"] = poly
-    rec["peak_rss_mb_after"] = peak
-    rec["numpy"] = np.__version__
+        if batched(graphs) != [single(g) for g in graphs]:
+            raise SystemExit(f"batched and single polynomials differ at order {n}")
+        layers[f"seidel_char_poly_{n}_batched_us"] = (1e6, count, lambda graphs=graphs: batched(graphs))
+        layers[f"seidel_char_poly_{n}_batch_of_one_us"] = (
+            1e6, count, lambda graphs=graphs: [single(g) for g in graphs])
+    return layers
+
+
+def _digest(layers):
+    # one call of each layer, which also fills the caches that stay warm
+    h = hashlib.sha256()
+    for name, (_, _, call) in layers.items():
+        h.update(name.encode() + repr(call()).encode())
+    return h.hexdigest()
+
+
+def _generation(src):
+    out = subprocess.run([sys.executable, "-c", GENERATION, src, str(GENERATION_ORDER)],
+                         capture_output=True, text=True, check=True).stdout.split()
+    return {"cold_s": float(out[0]), "peak_rss_mb": float(out[1]), "sha256": out[2]}
+
+
+def pairs(parent_src, change_src):
+    srcs = {"parent": parent_src, "change": change_src}
+    generation = {side: _generation(src) for side, src in srcs.items()}
+    if generation["parent"]["sha256"] != generation["change"]["sha256"]:
+        raise SystemExit(f"nonisomorphic_graphs({GENERATION_ORDER}) differs: {generation}")
+    sides = {"parent": _layers(_load(parent_src, "seidelkit_parent")),
+             "change": _layers(_load(change_src, "seidelkit"))}
+    digests = {side: _digest(layers) for side, layers in sides.items()}
+    if digests["parent"] != digests["change"]:
+        raise SystemExit(f"outputs differ: {digests}")
+    times = {side: {name: [] for name in layers} for side, layers in sides.items()}
+    for k in range(PAIRS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for name in sides["parent"]:
+            for side in order:
+                scale, per, call = sides[side][name]
+                times[side][name].append(scale * _median_s(call) / per)
+    rec = {"commit": {side: _commit(src) for side, src in srcs.items()},
+           "pairs": PAIRS, "repeat": REPEAT, "seed": SEED,
+           "poly_graphs": {str(n): c for n, c in POLY_GRAPHS.items()},
+           f"nonisomorphic_graphs_{GENERATION_ORDER}": generation,
+           "outputs_sha256": digests["change"], "layers": {}}
+    for name in sides["parent"]:
+        p, c = times["parent"][name], times["change"][name]
+        rec["layers"][name] = {"parent": p, "change": c,
+                               "parent_quartiles": _quartiles(p), "change_quartiles": _quartiles(c),
+                               "change_wins": sum(x < y for x, y in zip(c, p)),
+                               "ratio": statistics.median(c) / statistics.median(p)}
     return rec
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default="src", help="directory holding the seidelkit package")
-    ap.add_argument("--label", required=True, help="the list in BENCH_sweeps.json this run's record joins")
+    ap.add_argument("--src", default="src", help="directory holding the changed seidelkit package")
+    ap.add_argument("--parent", required=True, help="directory holding the parent's seidelkit package")
     args = ap.parse_args(argv)
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    rec = {
-        "commit": _commit(src),
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "loadavg_1m": os.getloadavg()[0],
-        "repeat": REPEAT,
-        "seed": SEED,
-    }
-    rec.update(measure())
-    try:
-        with open(OUT) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        doc = {"harness": "benchmarks/bench_sweeps.py", "units": "_s seconds, _us microseconds per graph, rss MiB", "runs": {}}
-    doc["runs"].setdefault(args.label, []).append(rec)
+    rec = pairs(os.path.abspath(args.parent), os.path.abspath(args.src))
+    rec.update({"python": platform.python_version(), "numpy": np.__version__,
+                "nproc": os.cpu_count(), "loadavg_1m": os.getloadavg()[0]})
+    with open(OUT) as f:
+        doc = json.load(f)
+    doc["units"] = "_s seconds per call, _us microseconds per graph, rss MiB"
+    doc.setdefault("pairs", []).append(rec)
     with open(OUT, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(json.dumps({args.label: rec}, indent=2, sort_keys=True))
+    print(json.dumps(rec, indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

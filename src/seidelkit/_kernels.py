@@ -2,9 +2,11 @@
 
 A graph of order n is a sequence of n Python ints in the layout of
 Graph.adj: bit j of rows[i] is set when {i, j} is an edge.  The search
-is plain Python over those ints; the algebra sweep and the two-graph
-kernels are numpy over a batch of graphs.  Helpers carry a leading
-underscore, so the unprefixed functions are the only entry points.
+is plain Python over those ints; the two-graph kernels are numpy over a
+batch of graphs, and the algebra sweep is numpy over one int64 word per
+graph, its rows packed side by side (row i at bits n*i to n*i + n - 1).
+Helpers carry a leading underscore, so the unprefixed functions are the
+only entry points.
 
 The same search also runs on a whole stack of graphs of one order at
 once (_canon_codes), for the two callers that need many forms and
@@ -60,7 +62,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graphs import _switch_rows, _upper_bits, graph_from_code
+from .graphs import _check_bound, _check_order, _switch_rows, _upper_bits
 
 
 def _find(parent, x):
@@ -464,6 +466,20 @@ def _switch_pattern(n):
     return np.array([_switch_rows([0] * n, s) for s in range(1 << n)], dtype=np.int64)
 
 
+def _words(rows, n):
+    # each (..., n) stack of row masks as one int64 word, row i at bits n*i to n*i + n - 1
+    return (np.asarray(rows, dtype=np.int64) << n * np.arange(n)).sum(axis=-1)
+
+
+def _graph_words(n, lo, hi):
+    # the word of each labeled graph of order n with code in range(lo, hi):
+    # code bit C(j, 2) + i is the pair {i, j}, which sets bits n*i + j and n*j + i
+    i, j = _order_tables(n)[:2]
+    pair = (np.int64(1) << n * i + j) | (np.int64(1) << n * j + i)
+    codes = np.arange(lo, hi, dtype=np.int64)
+    return (((codes[:, None] >> np.arange(len(pair))) & 1) * pair).sum(axis=1)
+
+
 def algebra_sweep(n):
     """Exhaustive switching-identity sweep over every labeled graph of order n.
 
@@ -475,57 +491,59 @@ def algebra_sweep(n):
       kind 4    graph complement commutes with switching
       kind 5    switching by t then s equals switching by s xor t
 
-    Labeled graphs are taken in blocks of codes, each block against
-    every subset (and every pair of subsets) at once; a subset switch
-    XORs each row with its entry of _switch_pattern.
+    Each graph is one int64 word, row i at bits n*i to n*i + n - 1 (25
+    bits at order 5), and so are the subset switches of _switch_pattern,
+    the single-vertex steps and the complement masks, so each identity
+    is one == on words.  Labeled graphs are taken in blocks of codes,
+    each block against every subset (and every pair of subsets) at once.
 
     Returns seven ints: graphs, checks, violations, then the first
     witness as (code, s, t, kind), each -1 when unused.  The first
     witness is the first failure in the order code, then s with kinds
     0-4, then the (s, t) pairs of kind 5.
     """
+    _check_order(n)
+    _check_bound(n, 7)  # n * n bits fit an int64 word
     ncodes = 1 << (n * (n - 1) // 2)
     full = (1 << n) - 1
     nsub = 1 << n
     subsets = np.arange(nsub)
     bit = np.int64(1) << np.arange(n)
-    pattern = _switch_pattern(n)
+    pattern = _words(_switch_pattern(n), n)  # pattern[s]: the word that switching by s XORs in
     # the switch at v alone: v's bit toggles in every other row, row v toggles all others
-    vertex = np.where(np.identity(n, dtype=bool), full ^ bit[:, None], bit[:, None])
-    steps = [np.where((subsets[:, None] >> v) & 1, vertex[v], 0) for v in range(n)]
+    vertex = _words(np.where(np.identity(n, dtype=bool), full ^ bit[:, None], bit[:, None]), n)
+    steps = [np.where((subsets >> v) & 1, vertex[v], 0) for v in range(n)]
+    # the complement flips every bit but the diagonal
+    ones, diag = _words(np.full(n, full), n), _words(bit, n)
     # kind 2 applies to the empty and the full subset only
     applies = np.ones((nsub, 5), dtype=bool)
     applies[:, 2] = (subsets == 0) | (subsets == full)
     per_graph = int(applies.sum()) + nsub * nsub
 
-    def same(x, y):
-        return (x == y).all(axis=-1)
-
     def comp(x):
-        return (x ^ full) & ~bit
+        return (x ^ ones) & ~diag
 
-    block = max(1, _SWEEP_BLOCK // (nsub * nsub * n))
+    block = max(1, _SWEEP_BLOCK // (nsub * nsub))
     checks = bad = 0
     witness = (-1, -1, -1, -1)
     for lo in range(0, ncodes, block):
-        codes = range(lo, min(lo + block, ncodes))
-        g = np.array([graph_from_code(n, c).adj for c in codes], dtype=np.int64)[:, None, :]
+        g = _graph_words(n, lo, min(lo + block, ncodes))[:, None]
         sw = g ^ pattern  # sw[:, s]: each graph switched by s
         asc = desc = g
         for step in steps:
             asc = asc ^ step
         for step in reversed(steps):
             desc = desc ^ step
-        fails = ~np.stack([
-            same(sw, asc),
-            same(sw, desc),
-            same(sw, g),
-            same(sw, sw[:, full ^ subsets]),
-            same(comp(sw), comp(g) ^ pattern),
+        fails = np.stack([
+            sw != asc,
+            sw != desc,
+            sw != g,
+            sw != sw[:, full ^ subsets],
+            comp(sw) != comp(g) ^ pattern,
         ], axis=-1) & applies
         # fails5[:, s, t]: sw[:, t] switched by s differs from sw[:, s ^ t]
-        fails5 = ~same(sw[:, None] ^ pattern[:, None], sw[:, subsets[:, None] ^ subsets])
-        checks += len(codes) * per_graph
+        fails5 = sw[:, None] ^ pattern[:, None] != sw[:, subsets[:, None] ^ subsets]
+        checks += len(g) * per_graph
         bad += int(fails.sum()) + int(fails5.sum())
         if bad and witness[0] < 0:
             i = int((fails.any(axis=(1, 2)) | fails5.any(axis=(1, 2))).argmax())

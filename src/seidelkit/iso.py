@@ -22,6 +22,9 @@ from .graphs import Graph, Permutation, _check_bound, _upper_rows, graph_from_co
 CANONICAL_MAX_ORDER = 12
 # one switch-orbit scan searches up to 2^(n-1) switches of its graph
 SWITCH_SCAN_MAX_ORDER = 10
+# order 8 holds 12,346 isomorphism classes and generates in about 4 s
+# (benchmarks/BENCH_sweeps.json); order 9 holds 274,668 and took 35 s and 297 MB
+GENERATION_MAX_ORDER = 8
 
 
 class CanonicalForm(NamedTuple):
@@ -159,7 +162,7 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    _check_bound(n, CANONICAL_MAX_ORDER)
+    _check_bound(n, GENERATION_MAX_ORDER)
     reps = {0: Graph(1, (0,))}
     for k in range(2, n + 1):
         graphs = list(reps.values())

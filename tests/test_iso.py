@@ -22,6 +22,7 @@ from seidelkit.generators import (
 from seidelkit.graphs import graph_from_code
 from seidelkit.iso import (
     CANONICAL_MAX_ORDER,
+    GENERATION_MAX_ORDER,
     all_graphs,
     automorphism_count,
     automorphisms,
@@ -296,6 +297,16 @@ def test_generation_refuses_orders_below_one():
     for n in (0, -3):
         with pytest.raises(ValueError, match="positive"):
             nonisomorphic_graphs(n)
+
+
+def test_generation_refuses_orders_past_its_bound():
+    # order 9 would take about 35 s and 300 MB; the refusal comes before any work
+    assert GENERATION_MAX_ORDER == 8
+    t = time.perf_counter()
+    for n in (GENERATION_MAX_ORDER + 1, CANONICAL_MAX_ORDER):
+        with pytest.raises(ValueError, match="bound 8"):
+            nonisomorphic_graphs(n)
+    assert time.perf_counter() - t < 0.1
 
 
 def test_one_search_answers_every_reader(monkeypatch):

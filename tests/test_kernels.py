@@ -336,6 +336,23 @@ def test_switch_pattern_matches_switch_set():
                 assert rows == switch_set(g, VertexSet(n, s)).adj
 
 
+def test_sweep_words_pack_graph_from_code():
+    # the code numbering of the words is the one the reported witness uses
+    for n in range(1, 6):
+        ncodes = 1 << (n * (n - 1) // 2)
+        words = _kernels._graph_words(n, 0, ncodes)
+        assert words.dtype == np.int64
+        assert words.tolist() == [sum(row << n * i for i, row in enumerate(graph_from_code(n, c).adj))
+                                  for c in range(ncodes)]
+
+
+def test_algebra_sweep_refuses_orders_past_its_words():
+    # 8 * 8 bits do not fit an int64 word
+    for n in (0, 8):
+        with pytest.raises(ValueError):
+            algebra_sweep(n)
+
+
 def test_algebra_sweep_reports_planted_faults_in_loop_order(monkeypatch):
     rng = random.Random(2718)
     planted = []
@@ -345,6 +362,10 @@ def test_algebra_sweep_reports_planted_faults_in_loop_order(monkeypatch):
             pattern = _kernels._switch_pattern(n).copy()
             pattern[s, rng.randrange(n)] ^= 1 << rng.randrange(n)
             planted.append((n, pattern))
+    # one fault in the top row of an order-5 word, bits 20-24
+    pattern = _kernels._switch_pattern(5).copy()
+    pattern[rng.randrange(32), 4] ^= 1 << rng.randrange(5)
+    planted.append((5, pattern))
     kinds = set()
     default = _kernels._SWEEP_BLOCK
     for n, pattern in planted:
