@@ -248,7 +248,7 @@ def run_canon(rows, n):
 # n.bit_length() bits wide.
 _CODES_MAX_ORDER = max(n for n in range(1, 64) if n * (n - 1) // 2 <= 63 and (n + 1) * n.bit_length() <= 63)
 
-# entries of the (graphs, s, t, row) stack that one block of the sweep
+# entries of the (graphs, s, t) word stack that one block of the sweep
 # holds, and of the adjacency stack that one batch of search nodes holds
 _SWEEP_BLOCK = 1 << 16
 
