@@ -13,6 +13,9 @@ REPEAT calls per pair:
   search memo `_kernels.run_canon`, or the Graph-keyed record cache at
   checkouts without it, and the scan cache), so it times searches, not
   cache hits;
+- one `run_suites("all", 6)`, the whole of `verify --suite all`, which
+  may fork worker processes, started with the search caches and the
+  `nonisomorphic_graphs` cache cleared;
 - the exact Seidel polynomial per graph of POLY_GRAPHS seeded random
   graphs at orders 6, 8, 12, 13 and 16, both batched and as a batch of
   one.
@@ -113,6 +116,13 @@ def _layers(sk):
     layers = {"algebra_sweep_1_5_s": (1.0, 1, lambda: [kernels.algebra_sweep(n) for n in range(1, 6)])}
     for name in ("invariants", "classes", "iss", "edge_iss"):
         layers[f"suite_{name}_6_s"] = (1.0, 1, suite(name))
+
+    def verify_all():
+        iso.nonisomorphic_graphs.cache_clear()
+        return [(r.suite, r.lines, r.checks, r.violations, r.findings)
+                for r in verify.run_suites("all", 6)]
+
+    layers["verify_all_6_s"] = (1.0, 1, cold(verify_all))
     layers["census_7_s"] = (1.0, 1, cold(lambda: sk.classes.census(7)))
     single, batched = sk.invariants.seidel_char_poly, sk.invariants.seidel_char_polys
     rng = random.Random(SEED)

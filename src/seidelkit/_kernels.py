@@ -17,10 +17,11 @@ of two vertices, with no pruning, so it needs no automorphisms.  A
 graph whose search meets a cell of three or more vertices gets -1 and
 goes back to the pruned single search: an empty or complete graph would
 otherwise expand n! leaves.  Through order _CODES_MAX_ORDER a code fits
-in an int64; past it the batch refuses, and nonisomorphic_graphs
-searches each child alone.  Each single search goes through run_canon,
-a memo keyed by the rows, so a graph that a scan, a reader and a suite
-all meet is searched once; batch codes never enter it.
+in an int64; past it the batch refuses, and both callers stay within it
+(iso.GENERATION_MAX_ORDER and iso.SWITCH_SCAN_MAX_ORDER).  Each single
+search goes through run_canon, a memo keyed by the rows, so a graph that
+a scan, a reader and a suite all meet is searched once; batch codes
+never enter it.
 
 The stack axis comes last: a stack is (n, n, graphs) bool, and a batch
 of search nodes holds its adjacency as (n, n, nodes) int64 and its
@@ -188,7 +189,10 @@ def _canon(rows, n):
                 if any(_find(parent, u) == root for u in explored):
                     continue
             explored.append(v)
-            # individualize v: it goes first in its own cell, the rest stays in order
+            # individualize v: it goes first in a cell of its own, and the
+            # cell's old first vertex takes v's place among the rest, out of
+            # order once k >= 2.  That order reaches the generators the
+            # search finds, which automorphisms(g) returns, so it stays.
             split = cell.copy()
             split[0], split[k] = v, split[0]
             back = visit(cells[:ci] + [split[:1], split[1:]] + cells[ci + 1 :], path + [v], [1 << v])

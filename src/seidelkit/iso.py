@@ -25,6 +25,8 @@ SWITCH_SCAN_MAX_ORDER = 10
 # order 8 holds 12,346 isomorphism classes and generates in about 4 s
 # (benchmarks/BENCH_sweeps.json); order 9 holds 274,668 and took 35 s and 297 MB
 GENERATION_MAX_ORDER = 8
+# every order that generation reaches is searched as numpy batches
+assert GENERATION_MAX_ORDER <= _kernels._CODES_MAX_ORDER
 
 
 class CanonicalForm(NamedTuple):
@@ -167,12 +169,8 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     for k in range(2, n + 1):
         graphs = list(reps.values())
         nmask = 1 << (k - 1)
-        if k > _kernels._CODES_MAX_ORDER:
-            codes = [_kernels.run_canon(_child(g, m).adj, k)[0] for g in graphs for m in range(nmask)]
-        else:
-            codes = _child_codes(graphs, k)
         first = {}
-        for i, code in enumerate(codes):
+        for i, code in enumerate(_child_codes(graphs, k)):
             first.setdefault(code, i)
         reps = {code: _child(graphs[i >> (k - 1)], i & (nmask - 1)) for code, i in first.items()}
     return tuple(reps[code] for code in sorted(reps))

@@ -11,8 +11,10 @@ a result, not a bug.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -493,6 +495,95 @@ def run_suite(name: str, max_order: int) -> SuiteResult:
 
 
 def run_suites(name: str, max_order: int) -> list[SuiteResult]:
-    if name == "all":
-        return [run_suite(s, max_order) for s in SUITES]
-    return [run_suite(name, max_order)]
+    """Run one suite, or all of them in SUITES order.
+
+    The suites share no state, so "all" runs them in up to one process
+    per available CPU: the parent forks the others, and every process,
+    the parent included, takes the next suite from one shared counter.
+    Each child sends its {index: SuiteResult} back, or the exception a
+    suite raised.  The results come back in SUITES order, or one such
+    exception is raised again, once every child has been joined.  With
+    one CPU, or where fork is unavailable, the same loop runs alone.
+    """
+    if name != "all":
+        return [run_suite(name, max_order)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = min(len(SUITES), cpus)
+    results = None
+    if workers > 1:
+        # imported here, so that importing the package costs no more than before
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            results = _run_forked(multiprocessing.get_context("fork"), workers, max_order)
+    if results is None:
+        results = _take_suites(itertools.count().__next__, max_order)
+    return [results[i] for i in range(len(SUITES))]
+
+
+def _take_suites(next_index, max_order: int) -> dict[int, SuiteResult]:
+    # run suites by index from next_index() until it passes the last one
+    results = {}
+    while (i := next_index()) < len(SUITES):
+        results[i] = run_suite(SUITES[i], max_order)
+    return results
+
+
+def _run_forked(ctx, workers: int, max_order: int) -> dict[int, SuiteResult]:
+    counter = ctx.Value("i", 0)
+
+    def next_index() -> int:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        return i
+
+    def child(conn) -> None:
+        try:
+            got = _take_suites(next_index, max_order)
+        except Exception as e:
+            got = e
+        conn.send(got)
+        conn.close()
+
+    # Process.start flushes sys.stdout and sys.stderr before it forks, so
+    # no child writes its copy of text the parent buffered
+    procs, conns, results, error = [], [], {}, None
+    try:
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send,))
+            proc.start()
+            send.close()
+            procs.append(proc)
+            conns.append(recv)
+        try:
+            results.update(_take_suites(next_index, max_order))
+        except Exception as e:
+            error = e
+        for proc, conn in zip(procs, conns):
+            try:
+                got = conn.recv()
+            except EOFError:
+                proc.join()
+                got = RuntimeError(f"a suite worker exited with code {proc.exitcode} and no results")
+            if isinstance(got, Exception):
+                error = error or got
+            else:
+                results.update(got)
+    except BaseException:
+        # interrupted before every child reported: stop the rest
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+    if error is not None:
+        raise error
+    return results

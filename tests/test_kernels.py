@@ -12,7 +12,7 @@ from seidelkit import VertexSet, make_graph, nonisomorphic_graphs, relabel, swit
 from seidelkit import _kernels
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
-from seidelkit.graphs import graph_from_code, graph_to_code
+from seidelkit.graphs import Graph, graph_from_code, graph_to_code
 from seidelkit.iso import _child, _form, automorphisms, canonical_form
 
 
@@ -215,18 +215,24 @@ def test_batched_codes_refuse_orders_past_int64():
         _kernels._canon_codes(np.zeros((12, 12, 1), dtype=bool), 12)
 
 
-@pytest.mark.parametrize("batch_max_order", [11, 5])
-def test_nonisomorphic_graphs_seven_pinned(monkeypatch, batch_max_order):
+def test_nonisomorphic_graphs_seven_pinned():
     # the exact representatives, in order: the published witnesses are drawn
-    # from them.  Orders past the batch's bound search each child alone.
-    monkeypatch.setattr(_kernels, "_CODES_MAX_ORDER", batch_max_order)
+    # from them.  The oracle grows order 7 again with one single search
+    # per child instead of the batches, and must reach the same digest.
+    want = "ac31047432c34f574caacd5f1e482c15eff10004186157046867e4ec29545e80"
     nonisomorphic_graphs.cache_clear()
-    try:
-        text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
-    finally:
-        nonisomorphic_graphs.cache_clear()
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ac31047432c34f574caacd5f1e482c15eff10004186157046867e4ec29545e80")
+    text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+    reps = [Graph(1, (0,))]
+    for k in range(2, 8):
+        first = {}
+        for g in reps:
+            for m in range(1 << (k - 1)):
+                child = _child(g, m)
+                first.setdefault(run_canon(child.adj, k)[0], child)
+        reps = list(first.values())
+    text = "\n".join(to_graph6(first[code]) for code in sorted(first))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def _labeled_two_graphs(n):

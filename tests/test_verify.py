@@ -1,6 +1,12 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from multiprocessing.context import ForkProcess
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +173,75 @@ def test_classes_suite_scans_each_class_once(monkeypatch):
     monkeypatch.setattr(_kernels, "switch_orbit_scan", counting)
     assert verify.suite_classes(6).ok
     assert len(calls) == 30
+
+
+def _report(res):
+    return res.suite, res.lines, res.checks, res.violations, [f.to_json() for f in res.findings]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # counts the processes that run_suites starts
+    started = []
+    real = ForkProcess.start
+
+    def counting(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(ForkProcess, "start", counting)
+    return started
+
+
+def test_parallel_suites_match_one_by_one_runs(monkeypatch, forks):
+    # three CPUs whatever the machine has: two children and the parent
+    # pull suites from the shared counter
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    got = verify.run_suites("all", 6)
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    want = [verify.run_suite(name, 6) for name in verify.SUITES]
+    assert [_report(r) for r in got] == [_report(r) for r in want]
+
+
+@pytest.mark.parametrize("planted", [("iso",), verify.SUITES], ids=["one", "every"])
+def test_a_suite_error_reaches_the_caller_after_every_child_is_joined(monkeypatch, forks, planted):
+    # with every suite planted, the parent and its child each raise on
+    # the first suite they take, so both routes of the error are taken
+    def faulty(max_order):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for name in planted:
+        monkeypatch.setitem(verify._SUITE_FNS, name, faulty)
+    with pytest.raises(RuntimeError, match="planted"):
+        verify.run_suites("all", 4)
+    assert len(forks) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_runs_every_suite_in_this_process(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    got = verify.run_suites("all", 5)
+    assert forks == []
+    assert [_report(r) for r in got] == [_report(verify.run_suite(name, 5)) for name in verify.SUITES]
+
+
+def test_text_buffered_before_the_fork_is_written_once():
+    # a piped stdout is block-buffered, so "before" still sits in the
+    # parent's buffer when the children are forked
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from seidelkit import cli\n"
+        "sys.stdout.write('before')\n"
+        "sys.exit(cli.main(['verify', '--suite', 'all', '--max-order', '3']))\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("before") == 1
+    assert proc.stdout.startswith("before[algebra] ")
+    assert proc.stdout.endswith("PASS (0 violations, 2 findings)\n")
