@@ -13,7 +13,7 @@ from seidelkit import _kernels
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import Graph, graph_from_code, graph_to_code
-from seidelkit.iso import _child, _form, automorphisms, canonical_form
+from seidelkit.iso import _child, _child_codes, _form, automorphisms, canonical_form
 
 
 def _random_graph(rng, n):
@@ -215,21 +215,26 @@ def test_batched_codes_refuse_orders_past_int64():
         _kernels._canon_codes(np.zeros((12, 12, 1), dtype=bool), 12)
 
 
-def test_nonisomorphic_graphs_seven_pinned():
+@pytest.mark.parametrize("batch_max_order", [11, 5])
+def test_nonisomorphic_graphs_seven_pinned(batch_max_order):
     # the exact representatives, in order: the published witnesses are drawn
-    # from them.  The oracle grows order 7 again with one single search
-    # per child instead of the batches, and must reach the same digest.
+    # from them.  The oracle grows order 7 again, searching the children of
+    # orders past batch_max_order one at a time instead of in batches, and
+    # must reach the same digest.
     want = "ac31047432c34f574caacd5f1e482c15eff10004186157046867e4ec29545e80"
     nonisomorphic_graphs.cache_clear()
     text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
     assert hashlib.sha256(text.encode()).hexdigest() == want
     reps = [Graph(1, (0,))]
     for k in range(2, 8):
+        kids = [_child(g, m) for g in reps for m in range(1 << (k - 1))]
+        if k <= batch_max_order:
+            codes = _child_codes(reps, k)
+        else:
+            codes = [run_canon(child.adj, k)[0] for child in kids]
         first = {}
-        for g in reps:
-            for m in range(1 << (k - 1)):
-                child = _child(g, m)
-                first.setdefault(run_canon(child.adj, k)[0], child)
+        for code, child in zip(codes, kids):
+            first.setdefault(code, child)
         reps = list(first.values())
     text = "\n".join(to_graph6(first[code]) for code in sorted(first))
     assert hashlib.sha256(text.encode()).hexdigest() == want
