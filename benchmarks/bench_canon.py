@@ -5,12 +5,13 @@ parent's under another module name, and times the same layers on each
 in turn, alternating which side goes first.  Separate processes on a
 shared machine spread 20-30% from one another, more than the ~10%
 per-layer bound; interleaved in one process, the pairs resolve a few
-percent.  The layers, each the median of REPEAT calls per pair, with
-the search caches (the memo `_kernels.run_canon`, or the Graph-keyed
-`iso._canon_record` cache at checkouts without it) cleared before each
-graph's search or scan and each generation, so every call times
-searches, not the answers for a graph met before; the relabelled
-complete and empty graphs repeat the rows of the graph as built:
+percent.  `pairs` and `append` hold that protocol for this script and
+`bench_sweeps.py` alike.  Both checkouts need the search memo
+`_kernels.run_canon` (c930242 or later).  The layers, each the median
+of REPEAT calls per pair, with the memo cleared before each graph's
+search or scan and each generation, so every call times searches, not
+the answers for a graph met before; the relabelled complete and empty
+graphs repeat the rows of the graph as built:
 
 - `_kernels.run_canon` per graph on seeded uniform random graphs (edge
   probability 1/2) at orders 8, 10 and 12, and on a symmetric set:
@@ -20,9 +21,8 @@ complete and empty graphs repeat the rows of the graph as built:
 - `_kernels.switch_orbit_scan` per graph on seeded random graphs at
   orders 6, 8 and 10, and on the same set at order 10: complete(10),
   empty(10), K_{5,5}, C10, the cube and the prism.  Each scan includes
-  the graph's own search: the scan ran it itself before it took the
-  root code and generators as arguments, and is now handed them by one
-  `run_canon` call;
+  the graph's own search, the `run_canon` call that hands the scan its
+  root code and generators;
 - a cold `nonisomorphic_graphs(7)`, its cache and the search caches
   cleared before each call;
 - `switching_class` per graph on seeded random graphs at orders 8 and
@@ -58,7 +58,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -86,9 +85,9 @@ CROSSOVER_SLOTS = (2, 4, 6, 8, 12, 16, 24, 32)
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_canon.json")
 
 
-def _median_s(fn):
+def _median_s(fn, repeat):
     times = []
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         t = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t)
@@ -121,19 +120,6 @@ def _load(src, name):
     return pkg
 
 
-def _cold(sk):
-    # a call that empties the search memo or the Graph-keyed record
-    # cache, whichever of the two the checkout has
-    caches = [getattr(f, "cache_clear", None) for f in (sk._kernels.run_canon, sk.iso._canon_record)]
-    caches = [clear for clear in caches if clear is not None]
-
-    def cold():
-        for clear in caches:
-            clear()
-
-    return cold
-
-
 def _random_rows(sk, rng, n):
     return sk.make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]).adj
 
@@ -154,7 +140,7 @@ def _layers(sk):
     gen = sk.generators
     rng = random.Random(SEED)
     kernels, iso = sk._kernels, sk.iso
-    cold = _cold(sk)
+    cold = kernels.run_canon.cache_clear
     layers = {}
 
     def search(rows):
@@ -164,15 +150,10 @@ def _layers(sk):
     def canon(batch):
         return lambda: [search(rows) for rows in batch]
 
-    # a scan starts from the graph's own search: inside the scan at
-    # checkouts whose scan takes (rows, n), passed in at later ones
-    own_search = len(inspect.signature(kernels.switch_orbit_scan).parameters) == 2
-
     def scan_one(rows):
+        # the graph's own search, then the scan it starts
         cold()
         n = len(rows)
-        if own_search:
-            return kernels.switch_orbit_scan(rows, n)
         code, _, _, _, gens = kernels.run_canon(rows, n)
         return kernels.switch_orbit_scan(rows, n, code, gens)
 
@@ -218,6 +199,7 @@ def _layers(sk):
 
 
 def _digest(layers):
+    # one call of each layer, which also fills the caches that stay warm
     h = hashlib.sha256()
     for name, (_, _, call) in layers.items():
         h.update(name.encode() + repr(call()).encode())
@@ -229,9 +211,16 @@ def _quartiles(xs):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def pairs(parent_src, change_src):
-    sides = {"parent": _layers(_load(parent_src, "seidelkit_parent")),
-             "change": _layers(_load(change_src, "seidelkit"))}
+def pairs(layers_of, parent_src, change_src, repeat):
+    """Time layers_of(package) on both checkouts in PAIRS alternating pairs.
+
+    Stops if the two sides' outputs differ.  Returns the record common
+    to both scripts: commits, pairs, repeat, seed, the outputs digest and
+    per layer the times, their quartiles, the change's wins and the
+    ratio of the medians.
+    """
+    sides = {"parent": layers_of(_load(parent_src, "seidelkit_parent")),
+             "change": layers_of(_load(change_src, "seidelkit"))}
     digests = {side: _digest(layers) for side, layers in sides.items()}
     if digests["parent"] != digests["change"]:
         raise SystemExit(f"outputs differ: {digests}")
@@ -241,26 +230,37 @@ def pairs(parent_src, change_src):
         for name in sides["parent"]:
             for side in order:
                 scale, per, call = sides[side][name]
-                times[side][name].append(scale * _median_s(call) / per)
+                times[side][name].append(scale * _median_s(call, repeat) / per)
     rec = {"commit": {"parent": _commit(parent_src), "change": _commit(change_src)},
-           "pairs": PAIRS, "repeat": REPEAT, "seed": SEED,
-           "random_graphs": {str(n): c for n, c in RANDOM_GRAPHS.items()},
-           "scan_graphs": {str(n): c for n, c in SCAN_GRAPHS.items()},
-           "class_graphs": {str(n): c for n, c in CLASS_GRAPHS.items()},
-           "switch_calls": SWITCH_CALLS,
+           "pairs": PAIRS, "repeat": repeat, "seed": SEED,
            "outputs_sha256": digests["change"], "layers": {}}
     for name in sides["parent"]:
         p, c = times["parent"][name], times["change"][name]
         rec["layers"][name] = {"parent": p, "change": c,
                                "parent_quartiles": _quartiles(p), "change_quartiles": _quartiles(c),
-                               "change_wins": sum(x < y for x, y in zip(c, p))}
+                               "change_wins": sum(x < y for x, y in zip(c, p)),
+                               "ratio": statistics.median(c) / statistics.median(p)}
     return rec
+
+
+def append(out, key, rec, units):
+    # the machine fields, then rec appended to the key list of the JSON file out
+    rec.update({"python": platform.python_version(), "numpy": np.__version__,
+                "nproc": os.cpu_count(), "loadavg_1m": os.getloadavg()[0]})
+    with open(out) as f:
+        doc = json.load(f)
+    doc["units"] = units
+    doc.setdefault(key, []).append(rec)
+    with open(out, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(json.dumps(rec, indent=2, sort_keys=True))
 
 
 def crossover(src):
     sk = _load(src, "seidelkit")
     kernels = sk._kernels
-    cold = _cold(sk)
+    cold = kernels.run_canon.cache_clear
 
     def slot_codes(rows, n, slots):
         cold()
@@ -282,7 +282,7 @@ def crossover(src):
                     for way, threshold in (("per_slot", k + 1), ("batch", 0)):
                         kernels._SCAN_BATCH_MIN = threshold
                         got[way].append(1e3 * _median_s(
-                            lambda: [slot_codes(rows, n, slots) for rows in batch]) / len(batch))
+                            lambda: [slot_codes(rows, n, slots) for rows in batch], REPEAT) / len(batch))
                 rec["ms"][f"{n}:{k}"] = {way: statistics.median(ts) for way, ts in got.items()}
     finally:
         kernels._SCAN_BATCH_MIN = default
@@ -298,18 +298,17 @@ def main(argv=None):
     if not args.crossover and not args.parent:
         ap.error("--parent is required unless --crossover is given")
     src = os.path.abspath(args.src)
-    rec = crossover(src) if args.crossover else pairs(os.path.abspath(args.parent), src)
-    rec.update({"python": platform.python_version(), "numpy": np.__version__,
-                "nproc": os.cpu_count(), "loadavg_1m": os.getloadavg()[0]})
-    with open(OUT) as f:
-        doc = json.load(f)
-    doc["units"] = ("_us microseconds per search or per switch, _ms milliseconds per scan, "
-                    "per switching class or per crossover batch, _s seconds per call")
-    doc.setdefault("crossover" if args.crossover else "pairs", []).append(rec)
-    with open(OUT, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(json.dumps(rec, indent=2, sort_keys=True))
+    units = ("_us microseconds per search or per switch, _ms milliseconds per scan, "
+             "per switching class or per crossover batch, _s seconds per call")
+    if args.crossover:
+        key, rec = "crossover", crossover(src)
+    else:
+        key, rec = "pairs", pairs(_layers, os.path.abspath(args.parent), src, REPEAT)
+        rec.update({"random_graphs": {str(n): c for n, c in RANDOM_GRAPHS.items()},
+                    "scan_graphs": {str(n): c for n, c in SCAN_GRAPHS.items()},
+                    "class_graphs": {str(n): c for n, c in CLASS_GRAPHS.items()},
+                    "switch_calls": SWITCH_CALLS})
+    append(OUT, key, rec, units)
 
 
 if __name__ == "__main__":

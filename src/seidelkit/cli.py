@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import sys
 
-from .classes import census
+from .classes import _check_census_order, census
 from .generators import FAMILIES, gen
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .graphs import Graph, VertexSet, _check_bound
@@ -109,6 +109,7 @@ def cmd_iss(args) -> int:
 
 
 def cmd_census(args) -> int:
+    _check_census_order(args.order)
     with _output(args.out) as out:
         recs = census(args.order)
         for r in recs:

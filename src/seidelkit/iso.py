@@ -68,8 +68,8 @@ def _canon_record(g: Graph) -> tuple:
 @lru_cache(maxsize=16)
 def _switch_orbit_codes(g: Graph) -> tuple[int, ...]:
     _check_bound(g.n, SWITCH_SCAN_MAX_ORDER)
-    cf, _, _, _, gens = _canon_record(g)
-    return _kernels.switch_orbit_scan(g.adj, g.n, _code(cf), gens)
+    code, _, _, _, gens = _kernels.run_canon(g.adj, g.n)
+    return _kernels.switch_orbit_scan(g.adj, g.n, code, gens)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from seidelkit import cli
 from seidelkit.cli import main
 
 
@@ -100,6 +101,12 @@ def test_iss_edges_mode():
     assert "(0,1)" in out and "(2,3)" in out
 
 
+def test_iss_needs_a_graph_or_stdin():
+    code, out, err = run_cli(["iss"])
+    assert code == 2 and out == ""
+    assert err == "error: pass --graph <graph6> or --stdin\n"
+
+
 def test_iss_edges_mode_refuses_past_the_order_bound():
     # empty(13) has no edge to search and complete(13) fails at its first;
     # both are refused before the header
@@ -133,6 +140,23 @@ def test_census_bounds():
     assert code == 2 and err
     code, _, err = run_cli(["census", "--order", "0"])
     assert code == 2 and err
+
+
+def test_census_refused_order_keeps_the_out_file(tmp_path, monkeypatch):
+    target = tmp_path / "kept.jsonl"
+    target.write_text("earlier\n")
+    for order in ("8", "0"):
+        code, out, err = run_cli(["census", "--order", order, "--out", str(target)])
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert target.read_text() == "earlier\n"
+    # a valid order with an unwritable path is refused before any census work
+    def no_census(n):
+        raise AssertionError("census ran")
+
+    monkeypatch.setattr(cli, "census", no_census)
+    missing = str(tmp_path / "missing" / "x.jsonl")
+    code, out, err = run_cli(["census", "--order", "7", "--out", missing])
+    assert code == 2 and out == "" and missing in err
 
 
 def test_verify_pass_and_findings_file(tmp_path):

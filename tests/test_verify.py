@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from multiprocessing.context import ForkProcess
@@ -138,6 +139,51 @@ def test_classes_suite_reports_a_planted_class_size(monkeypatch):
     ]
 
 
+def test_invariants_suite_reports_moved_polynomials(monkeypatch):
+    # at order 3 one switched and the relabeled polynomial move; at order
+    # 4 every polynomial of one graph gains a trace coefficient
+    moved, traced = nonisomorphic_graphs(3)[1], nonisomorphic_graphs(4)[0]
+    real = verify.seidel_char_polys
+
+    def faulty(graphs):
+        polys = real(graphs)
+        if graphs[0] == moved:
+            for i in (2, -1):  # the switch by mask 2, the relabeling
+                polys[i] = (polys[i][0] + 1, *polys[i][1:])
+        elif graphs[0] == traced:
+            polys = [(*p[:3], p[3] + 1, p[4]) for p in polys]
+        return polys
+
+    monkeypatch.setattr(verify, "seidel_char_polys", faulty)
+    res = verify.suite_invariants(4)
+    assert res.violations == [
+        f"polynomial moved under switch: {to_graph6(moved)} mask 2",
+        f"polynomial moved under relabeling: {to_graph6(moved)}",
+        f"leading/trace coefficient wrong: {to_graph6(traced)}",
+    ]
+
+
+def test_algebra_suite_reports_a_planted_pattern_fault(monkeypatch):
+    # the order-3 pattern of switching by {0} loses bit 1 of row 0, so on
+    # the first graph (code 0) that switch already differs from the fold
+    # of its one vertex switch
+    real = _kernels._switch_pattern
+    pattern = real(3).copy()
+    pattern[1, 0] ^= 1 << 1
+
+    monkeypatch.setattr(_kernels, "_switch_pattern", lambda n: pattern if n == 3 else real(n))
+    res = verify.suite_algebra(5)
+    assert res.violations == ["algebra identity failed: order 3 code 0 s=1 t=-1 (fold asc)"]
+    assert "order 3: 8 labeled graphs, 784 identity checks" in res.lines
+
+
+def test_constructions_suite_checks_the_cube_at_order_eight():
+    line = "cube: no edge identity switches (degree sums fall short)"
+    res = verify.suite_constructions(8)
+    assert res.ok and line in res.lines
+    assert line not in verify.suite_constructions(7).lines
+
+
 def test_suites_search_each_graph_once(monkeypatch):
     # the scans, the readers and generation share one memo of the search,
     # so no rows are searched twice across the iss, edge-iss and classes
@@ -215,6 +261,26 @@ def test_a_suite_error_reaches_the_caller_after_every_child_is_joined(monkeypatc
     for name in planted:
         monkeypatch.setitem(verify._SUITE_FNS, name, faulty)
     with pytest.raises(RuntimeError, match="planted"):
+        verify.run_suites("all", 4)
+    assert len(forks) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_is_an_error_not_a_hang(monkeypatch, forks):
+    # a child that exits without sending its results: the parent's copy
+    # of each suite sleeps, so the child is sure to take one
+    parent = os.getpid()
+
+    def dying(max_order):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.2)
+        return verify.SuiteResult("planted")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify._SUITE_FNS, name, dying)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
         verify.run_suites("all", 4)
     assert len(forks) == 1
     assert multiprocessing.active_children() == []
