@@ -8,9 +8,12 @@ bound.  Both checkouts need the search memo `_kernels.run_canon`
 pair:
 
 - the switching-algebra sweep `algebra_sweep(1..5)`;
-- the invariants, classes, iss and edge-iss suites at order 6 and
-  `census(7)`, each call started with the search memo and the scan
-  cache cleared, so it times searches, not cache hits;
+- the invariants, classes, iss and edge-iss suites at order 6, the
+  edge-iss suite at order 7 and `census(7)`, each call started with the
+  search memo and the scan cache cleared, so it times searches, not
+  cache hits.  An order-6 suite call takes 0.05-0.25 s, too short to
+  resolve 10% on a machine that changes speed; the order-7 call takes
+  about a second;
 - one `run_suites("all", 6)`, the whole of `verify --suite all`, which
   may fork worker processes, started with the same caches and the
   `nonisomorphic_graphs` cache cleared;
@@ -84,16 +87,17 @@ def _layers(sk):
 
         return run
 
-    def suite(name):
+    def suite(name, order):
         def run():
-            res = getattr(verify, f"suite_{name}")(6)
+            res = getattr(verify, f"suite_{name}")(order)
             return res.lines, res.checks, res.violations, res.findings
 
         return cold(run)
 
     layers = {"algebra_sweep_1_5_s": (1.0, 1, lambda: [kernels.algebra_sweep(n) for n in range(1, 6)])}
     for name in ("invariants", "classes", "iss", "edge_iss"):
-        layers[f"suite_{name}_6_s"] = (1.0, 1, suite(name))
+        layers[f"suite_{name}_6_s"] = (1.0, 1, suite(name, 6))
+    layers["suite_edge_iss_7_s"] = (1.0, 1, suite("edge_iss", 7))
 
     def verify_all():
         iso.nonisomorphic_graphs.cache_clear()

@@ -225,9 +225,9 @@ def _canon(rows, n):
     return best[0], best[1], count, orbit, tuple(gens)
 
 
-# Entries of the search memo.  A verify --max-order 6 run repeats 1292 of
-# its 4564 searches; by their LRU stack distances 1024 entries hold 672
-# of the repeats, 2048 hold 1115 and 4096 hold all of them.
+# Entries of the search memo.  verify --max-order 6 runs 3364 searches of
+# 3272 distinct rows in one process, and on two CPUs 2774 of 2742 in the
+# busier one.  So eviction costs at most 3% of the searches.
 _CANON_MEMO = 1 << 11
 
 

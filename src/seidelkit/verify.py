@@ -2,11 +2,12 @@
 
 Two different strengths of claim run here.  Asserted properties (the
 switching algebra, invariance of the Seidel polynomial, the sufficiency
-direction of the edge criterion, class sizes under complement) fail the
-run on any violation.  Swept claims (symmetric-difference closure of
-identity-switch families, the core partition, the edge-removal remark,
-the necessity direction) only emit findings; a counterexample there is
-a result, not a bug.
+direction of the edge criterion, class sizes under complement, the
+complemented-core verdict as a second route to the edge-removal one)
+fail the run on any violation.  Swept claims (symmetric-difference
+closure of identity-switch families, the core partition, the
+edge-removal remark, the necessity direction) only emit findings; a
+counterexample there is a result, not a bug.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ from .iso import (
     similarity_orbits,
 )
 from .iss import (
-    complemented_core_agreement,
+    _derived_verdicts,
     core_neighborhoods_partition,
     degree_extremes_adjacent,
     edge_iss_conditions,
     edge_iss_direct,
-    edge_removed_agreement,
     is_iss,
     iss_family,
     vertex_iss_set,
@@ -326,15 +326,16 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
                             f"edge ({x},{y}) is an identity switch but the core neighborhoods overlap or miss vertices",
                         ))
                 res.checks += 1
-                if not edge_removed_agreement(g, x, y):
+                removed, flipped = _derived_verdicts(g, x, y)
+                if removed != r.direct:
                     res.findings.append(Finding(
                         "edge-removed-equivalence",
                         g6,
                         ((1 << x) | (1 << y),),
                         f"verdict for ({x},{y}) changes when the edge is deleted",
                     ))
-                res.check(complemented_core_agreement(g, x, y),
-                          f"complementing the core changed the verdict: {g6} edge ({x},{y})")
+                res.check(flipped == removed,
+                          f"core-complemented and edge-removed verdicts differ: {g6} edge ({x},{y})")
         rate = 100.0 * agree / edges if edges else 100.0
         res.lines.append(
             f"order {n}: {edges} edges, {direct} identity switches, "

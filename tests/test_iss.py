@@ -363,6 +363,44 @@ def test_complemented_core_agreement_on_small_graphs():
                 assert complemented_core_agreement(g, u, v)
 
 
+def test_complemented_core_and_edge_removal_give_one_verdict():
+    # g with its core complemented is g minus xy, complemented and switched
+    # by {x, y}, so the two remarks agree on every edge
+    rng = random.Random(21)
+    graphs = [g for n in range(2, 7) for g in nonisomorphic_graphs(n)]
+    for n in range(7, 11):
+        for _ in range(8):
+            graphs.append(make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]))
+    for g in graphs:
+        for x, y in g.edges():
+            assert complemented_core_agreement(g, x, y) == edge_removed_agreement(g, x, y)
+
+
+def test_edge_removal_changes_the_verdict_at_order_eight():
+    # GyWYdO, edge (0,1): no identity switch, but one on g minus the edge
+    # and on g with its core complemented; networkx decides all three
+    nx = pytest.importorskip("networkx")
+    g = from_graph6("GyWYdO")
+    assert g.has_edge(0, 1)
+    removed = make_graph(8, [e for e in g.edges() if e != (0, 1)])
+    flipped = make_graph(8, [(i, j) for j in range(8) for i in range(j) if g.has_edge(i, j) != (i > 1)])
+
+    def switched_is_isomorphic(h):
+        a, b = nx.empty_graph(8), nx.empty_graph(8)
+        a.add_edges_from(h.edges())
+        b.add_edges_from((i, j) for j in range(8) for i in range(j)
+                         if h.has_edge(i, j) != ((i < 2) != (j < 2)))
+        return nx.is_isomorphic(a, b)
+
+    assert [switched_is_isomorphic(h) for h in (g, removed, flipped)] == [False, True, True]
+    s = VertexSet.from_indices(8, (0, 1))
+    assert [is_iss(h, s) for h in (g, removed, flipped)] == [False, True, True]
+    assert iss._derived_verdicts(g, 0, 1) == (True, True)
+    assert not edge_iss_direct(g, 0, 1)
+    assert not edge_removed_agreement(g, 0, 1)
+    assert not complemented_core_agreement(g, 0, 1)
+
+
 def test_family_order_bound():
     with pytest.raises(ValueError):
         iss_family(empty(SWITCH_SCAN_MAX_ORDER + 1))

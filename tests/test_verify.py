@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from seidelkit import _kernels, complement, to_graph6, verify
+from seidelkit import _kernels, complement, from_graph6, iss, to_graph6, verify
 from seidelkit.classes import switching_class
 from seidelkit.generators import empty
 from seidelkit.iso import _switch_orbit_codes, canonical_form, nonisomorphic_graphs
@@ -202,6 +202,34 @@ def test_suites_search_each_graph_once(monkeypatch):
     for suite in (verify.suite_iss, verify.suite_edge_iss, verify.suite_classes):
         assert suite(5).ok
     assert searched and max(searched.values()) == 1
+
+
+def test_edge_suite_reports_the_order_eight_edge_removal_witness(monkeypatch):
+    # on GyWYdO, edge (0,1) is no identity switch but is one once the edge
+    # is deleted: a finding for the remark, and no violation, since the
+    # complemented core is checked against the deleted edge, not g
+    monkeypatch.setattr(verify, "_reps_upto", lambda max_order: iter([(8, (from_graph6("GyWYdO"),))]))
+    res = verify.suite_edge_iss(8)
+    assert res.violations == []
+    assert [(f.claim_id, f.graph6, f.witness_masks) for f in res.findings] == [
+        ("edge-removed-equivalence", "GyWYdO", (3,))
+    ]
+
+
+def test_edge_suite_decides_each_edge_once(monkeypatch):
+    # three decisions for each of the 1380 edges through order 6: the
+    # direct one, g minus the edge and g with its core complemented
+    real = iss.is_iss
+    calls = []
+
+    def counting(g, s):
+        calls.append(s.mask)
+        return real(g, s)
+
+    monkeypatch.setattr(iss, "is_iss", counting)
+    res = verify.run_suite("edge-iss", 6)
+    assert sum(int(line.split()[2]) for line in res.lines if line.startswith("order")) == 1380
+    assert len(calls) == 3 * 1380
 
 
 def test_classes_suite_scans_each_class_once(monkeypatch):
