@@ -2,7 +2,7 @@
 
 Loads the seidelkit package of two checkouts into one process, the
 parent's under another module name, and times the same layers on each
-in turn, alternating which side goes first.  Separate processes on a
+in turn, alternating which side goes first, over PAIRS pairs.  Separate processes on a
 shared machine spread 20-30% from one another, more than the ~10%
 per-layer bound; interleaved in one process, the pairs resolve a few
 percent.  `pairs` and `append` hold that protocol for this script and
@@ -13,13 +13,15 @@ search or scan and each generation, so every call times searches, not
 the answers for a graph met before; the relabelled complete and empty
 graphs repeat the rows of the graph as built:
 
-- `_kernels.run_canon` per graph on seeded uniform random graphs (edge
-  probability 1/2) at orders 8, 10 and 12, and on a symmetric set:
+- `_kernels.run_canon` per graph on 16 fixed seeded uniform random
+  graphs (edge probability 1/2) at each of orders 8, 10 and 12, and on
+  a symmetric set:
   complete(12), empty(12), K_{6,6}, the cube Q3 and the prism C3 x P2,
   each as built, relabelled, and switched by a random subset and
   relabelled;
-- `_kernels.switch_orbit_scan` per graph on seeded random graphs at
-  orders 6, 8 and 10, and on the same set at order 10: complete(10),
+- `_kernels.switch_orbit_scan` per graph on 16 fixed seeded random
+  graphs at each of orders 6, 8 and 10, and on the same set at order 10:
+  complete(10),
   empty(10), K_{5,5}, C10, the cube and the prism.  Each scan includes
   the graph's own search, the `run_canon` call that hands the scan its
   root code and generators;
@@ -37,11 +39,12 @@ Every output of the timed calls is hashed per side, and the run stops
 if the two digests differ, so both sides computed the same codes,
 labelings, group orders, orbits, generators and representatives.
 
-`--crossover` times, on this checkout alone, the two ways a scan can
-search k slots of a random graph of order n: one search per slot, and
-one batch; each figure is the median over PAIRS alternating pairs, per
-graph of CROSSOVER_GRAPHS.  The scan's `_SCAN_BATCH_MIN` is the k from
-which the batch wins.
+`--crossover` times, on this checkout alone, the two ways a scan call
+can search k slots, spread over CROSSOVER_GRAPHS random graphs of order
+n as a many-graph scan spreads a whole order's roots: one search per
+slot, and one batch; each figure is the median over PAIRS alternating
+pairs, per call.  The scan's `_SCAN_BATCH_MIN` is the k from which the
+batch wins.
 
 Run from the repository root:
 
@@ -70,14 +73,16 @@ import time
 import numpy as np
 
 # order -> number of seeded random graphs per call of a layer
-RANDOM_GRAPHS = {8: 64, 10: 64, 12: 32}
-SCAN_GRAPHS = {6: 16, 8: 8, 10: 4}
+# 16 graphs per layer, 20 pairs of 5 repeats: fewer spread the scan and
+# search layers too widely to check a 10% bound
+RANDOM_GRAPHS = {8: 16, 10: 16, 12: 16}
+SCAN_GRAPHS = {6: 16, 8: 16, 10: 16}
 CLASS_GRAPHS = {8: 8, 10: 8}
 SWITCH_ORDER = 10
 SWITCH_CALLS = 256
 NONISO_ORDER = 7
-REPEAT = 3
-PAIRS = 10
+REPEAT = 5
+PAIRS = 20
 SEED = 1
 CROSSOVER_ORDERS = (4, 6, 8, 10)
 CROSSOVER_GRAPHS = 8
@@ -211,8 +216,8 @@ def _quartiles(xs):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def pairs(layers_of, parent_src, change_src, repeat):
-    """Time layers_of(package) on both checkouts in PAIRS alternating pairs.
+def pairs(layers_of, parent_src, change_src, repeat, count=PAIRS):
+    """Time layers_of(package) on both checkouts in count alternating pairs.
 
     Stops if the two sides' outputs differ.  Returns the record common
     to both scripts: commits, pairs, repeat, seed, the outputs digest and
@@ -225,14 +230,14 @@ def pairs(layers_of, parent_src, change_src, repeat):
     if digests["parent"] != digests["change"]:
         raise SystemExit(f"outputs differ: {digests}")
     times = {side: {name: [] for name in layers} for side, layers in sides.items()}
-    for k in range(PAIRS):
+    for k in range(count):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for name in sides["parent"]:
             for side in order:
                 scale, per, call = sides[side][name]
                 times[side][name].append(scale * _median_s(call, repeat) / per)
     rec = {"commit": {"parent": _commit(parent_src), "change": _commit(change_src)},
-           "pairs": PAIRS, "repeat": repeat, "seed": SEED,
+           "pairs": count, "repeat": repeat, "seed": SEED,
            "outputs_sha256": digests["change"], "layers": {}}
     for name in sides["parent"]:
         p, c = times["parent"][name], times["change"][name]
@@ -262,27 +267,28 @@ def crossover(src):
     kernels = sk._kernels
     cold = kernels.run_canon.cache_clear
 
-    def slot_codes(rows, n, slots):
+    def slot_codes(graphs, n, index, slots):
         cold()
-        return kernels._slot_codes(rows, n, slots)
+        return kernels._slot_codes(graphs, n, index, slots)
 
     rng = random.Random(SEED)
     default = kernels._SCAN_BATCH_MIN
-    rec = {"commit": _commit(src), "repeat": REPEAT, "seed": SEED,
-           "scan_batch_min": default, "ms": {}}
+    rec = {"commit": _commit(src), "pairs": PAIRS, "repeat": REPEAT, "seed": SEED,
+           "graphs": CROSSOVER_GRAPHS, "scan_batch_min": default, "ms": {}}
     try:
         for n in CROSSOVER_ORDERS:
             batch = [_random_rows(sk, rng, n) for _ in range(CROSSOVER_GRAPHS)]
             for k in CROSSOVER_SLOTS:
-                if k >= 1 << (n - 1):
+                if k > len(batch) * ((1 << (n - 1)) - 1):
                     continue
-                slots = list(range(1, k + 1))
+                # slot j of the call is slot j // CROSSOVER_GRAPHS + 1 of graph j % CROSSOVER_GRAPHS
+                index = [j % len(batch) for j in range(k)]
+                slots = [j // len(batch) + 1 for j in range(k)]
                 got = {"per_slot": [], "batch": []}
                 for _ in range(PAIRS):
                     for way, threshold in (("per_slot", k + 1), ("batch", 0)):
                         kernels._SCAN_BATCH_MIN = threshold
-                        got[way].append(1e3 * _median_s(
-                            lambda: [slot_codes(rows, n, slots) for rows in batch], REPEAT) / len(batch))
+                        got[way].append(1e3 * _median_s(lambda: slot_codes(batch, n, index, slots), REPEAT))
                 rec["ms"][f"{n}:{k}"] = {way: statistics.median(ts) for way, ts in got.items()}
     finally:
         kernels._SCAN_BATCH_MIN = default

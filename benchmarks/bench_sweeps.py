@@ -1,19 +1,19 @@
 """Layer timings for the sweeps of `verify` and the exact Seidel polynomial.
 
-Times the same layers on two checkouts in one process, in alternating
-pairs, through `bench_canon.pairs`: separate processes on a shared
-machine spread 20-30% from one another, more than the ~10% per-layer
-bound.  Both checkouts need the search memo `_kernels.run_canon`
+Times the same layers on two checkouts in one process, in PAIRS
+alternating pairs, through `bench_canon.pairs`: separate processes on a
+shared machine spread 20-30% from one another, more than the ~10%
+per-layer bound.  Both checkouts need the search memo `_kernels.run_canon`
 (c930242 or later).  The layers, each the median of REPEAT calls per
 pair:
 
 - the switching-algebra sweep `algebra_sweep(1..5)`;
-- the invariants, classes, iss and edge-iss suites at order 6, the
-  edge-iss suite at order 7 and `census(7)`, each call started with the
-  search memo and the scan cache cleared, so it times searches, not
-  cache hits.  An order-6 suite call takes 0.05-0.25 s, too short to
-  resolve 10% on a machine that changes speed; the order-7 call takes
-  about a second;
+- the invariants, classes, iss and edge-iss suites at order 6, the iss
+  and edge-iss suites at order 7 and `census(7)`, each call started
+  with the search memo and the scan cache cleared, so it times searches,
+  not cache hits.  An order-6 suite call takes 0.05-0.25 s, too short to
+  resolve 10% on a machine that changes speed; the order-7 calls take
+  one to two seconds each;
 - one `run_suites("all", 6)`, the whole of `verify --suite all`, which
   may fork worker processes, started with the same caches and the
   `nonisomorphic_graphs` cache cleared;
@@ -27,10 +27,13 @@ the polynomials) is hashed per side, and the run stops if the two
 digests differ.  The batched and single polynomials are compared before
 they are timed.
 
-Once per side, a fresh interpreter times one cold
-`nonisomorphic_graphs(GENERATION_ORDER)`, the largest order that
-generation accepts, and reports its peak RSS (`ru_maxrss`); the run
-stops if the two sides' representatives differ.
+In GENERATION_PAIRS alternating pairs, a fresh interpreter per side
+times one cold `nonisomorphic_graphs(GENERATION_ORDER)`, the largest
+order that generation accepts, and reports its peak RSS (`ru_maxrss`);
+the record holds both sides' times with their quartiles, the change's
+wins and the ratio of the medians, and the run stops if any two runs'
+representatives differ.  One cold run per side swung by a third on
+identical code.
 
 Run from the repository root:
 
@@ -47,14 +50,17 @@ import argparse
 import importlib
 import os
 import random
+import statistics
 import subprocess
 import sys
 
-from bench_canon import SEED, append, pairs
+from bench_canon import SEED, _quartiles, append, pairs
 
 # order -> number of seeded random graphs timed at that order
 POLY_GRAPHS = {6: 256, 8: 256, 12: 64, 13: 32, 16: 16}
 GENERATION_ORDER = 8
+GENERATION_PAIRS = 6
+PAIRS = 10
 REPEAT = 5
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_sweeps.json")
 
@@ -97,7 +103,8 @@ def _layers(sk):
     layers = {"algebra_sweep_1_5_s": (1.0, 1, lambda: [kernels.algebra_sweep(n) for n in range(1, 6)])}
     for name in ("invariants", "classes", "iss", "edge_iss"):
         layers[f"suite_{name}_6_s"] = (1.0, 1, suite(name, 6))
-    layers["suite_edge_iss_7_s"] = (1.0, 1, suite("edge_iss", 7))
+    for name in ("iss", "edge_iss"):
+        layers[f"suite_{name}_7_s"] = (1.0, 1, suite(name, 7))
 
     def verify_all():
         iso.nonisomorphic_graphs.cache_clear()
@@ -119,10 +126,26 @@ def _layers(sk):
     return layers
 
 
-def _generation(src):
-    out = subprocess.run([sys.executable, "-c", GENERATION, src, str(GENERATION_ORDER)],
-                         capture_output=True, text=True, check=True).stdout.split()
-    return {"cold_s": float(out[0]), "peak_rss_mb": float(out[1]), "sha256": out[2]}
+def _generation(srcs):
+    # GENERATION_PAIRS alternating pairs of cold runs, one fresh interpreter each
+    runs = {side: [] for side in srcs}
+    for k in range(GENERATION_PAIRS):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            out = subprocess.run([sys.executable, "-c", GENERATION, srcs[side], str(GENERATION_ORDER)],
+                                 capture_output=True, text=True, check=True).stdout.split()
+            runs[side].append((float(out[0]), float(out[1]), out[2]))
+    digests = {run[2] for side in runs.values() for run in side}
+    if len(digests) != 1:
+        raise SystemExit(f"nonisomorphic_graphs({GENERATION_ORDER}) differs: {digests}")
+    rec = {"pairs": GENERATION_PAIRS, "sha256": digests.pop()}
+    for side, got in runs.items():
+        times = [t for t, _, _ in got]
+        rec[side] = {"cold_s": times, "cold_s_quartiles": _quartiles(times),
+                     "peak_rss_mb": [rss for _, rss, _ in got]}
+    p, c = rec["parent"]["cold_s"], rec["change"]["cold_s"]
+    rec["change_wins"] = sum(x < y for x, y in zip(c, p))
+    rec["ratio"] = statistics.median(c) / statistics.median(p)
+    return rec
 
 
 def main(argv=None):
@@ -131,10 +154,8 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="directory holding the parent's seidelkit package")
     args = ap.parse_args(argv)
     srcs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.src)}
-    generation = {side: _generation(src) for side, src in srcs.items()}
-    if generation["parent"]["sha256"] != generation["change"]["sha256"]:
-        raise SystemExit(f"nonisomorphic_graphs({GENERATION_ORDER}) differs: {generation}")
-    rec = pairs(_layers, srcs["parent"], srcs["change"], REPEAT)
+    generation = _generation(srcs)
+    rec = pairs(_layers, srcs["parent"], srcs["change"], REPEAT, PAIRS)
     rec.update({"poly_graphs": {str(n): c for n, c in POLY_GRAPHS.items()},
                 f"nonisomorphic_graphs_{GENERATION_ORDER}": generation})
     append(OUT, "pairs", rec, "_s seconds per call, _us microseconds per graph, rss MiB")

@@ -10,13 +10,14 @@ only entry points.
 
 The same search also runs on a whole stack of graphs of one order at
 once (_canon_codes), for the two callers that need many forms and
-nothing else: the switch-orbit scan, once it has _SCAN_BATCH_MIN slots
-to search, and iso.nonisomorphic_graphs, for each order's children.  It
-refines every node of every tree together and expands only target cells
-of two vertices, with no pruning, so it needs no automorphisms.  A
-graph whose search meets a cell of three or more vertices gets -1 and
-goes back to the pruned single search: an empty or complete graph would
-otherwise expand n! leaves.  Through order _CODES_MAX_ORDER a code fits
+nothing else: the switch-orbit scan, once a call has _SCAN_BATCH_MIN
+slots to search over all its graphs, and iso.nonisomorphic_graphs, for
+each order's children.  It refines every node of every tree together
+and expands target cells of up to _CELL_MAX = 4 vertices, with no
+pruning, so it needs no automorphisms.  A graph whose search meets a
+cell of five or more vertices gets -1 and goes back to the pruned
+single search: an empty or complete graph would otherwise expand n!
+leaves.  Through order _CODES_MAX_ORDER a code fits
 in an int64; past it the batch refuses, and both callers stay within it
 (iso.GENERATION_MAX_ORDER and iso.SWITCH_SCAN_MAX_ORDER).  Each single
 search goes through run_canon, a memo keyed by the rows, so a graph that
@@ -59,7 +60,7 @@ product that is the group order, and ends holding the vertex orbits.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -225,9 +226,9 @@ def _canon(rows, n):
     return best[0], best[1], count, orbit, tuple(gens)
 
 
-# Entries of the search memo.  verify --max-order 6 runs 3364 searches of
-# 3272 distinct rows in one process, and on two CPUs 2774 of 2742 in the
-# busier one.  So eviction costs at most 3% of the searches.
+# Entries of the search memo.  verify --max-order 6 runs 2722 searches of
+# 2704 distinct rows in one process, and on two CPUs 2310 of 2308 in the
+# busier one.  So eviction costs at most 1% of the searches.
 _CANON_MEMO = 1 << 11
 
 
@@ -246,6 +247,10 @@ def run_canon(rows, n):
     """
     return _canon(rows, n)
 
+
+# the largest target cell that the batched search expands: an unpruned
+# k-cell multiplies the tree by k at each level where it meets one
+_CELL_MAX = 4
 
 # The batched search keeps each leaf code, C(n, 2) bits, in one int64,
 # and each refinement key: a colour above n neighbor counts, each
@@ -318,8 +323,8 @@ def _canon_codes(adj, n):
     """The minimum leaf code of each graph of an (n, n, graphs) bool stack.
 
     Equal to _canon(rows, n)[0] for each graph whose search meets only
-    target cells of two vertices; a graph whose search meets a cell of
-    three or more gets -1.  The tree is walked without pruning, which a
+    target cells of up to _CELL_MAX vertices; a graph whose search meets
+    a larger cell gets -1.  The tree is walked without pruning, which a
     large cell could blow up, so those graphs go back to the pruned
     _canon.  Search nodes go through in batches of at most _SWEEP_BLOCK
     adjacency entries, depth first, so memory stays bounded.
@@ -328,10 +333,10 @@ def _canon_codes(adj, n):
         raise ValueError(f"batched codes stop at order {_CODES_MAX_ORDER}")
     block = max(1, _SWEEP_BLOCK // (n * n))
     p, q, pair, _ = _order_tables(n)
-    size = adj.shape[2]
-    best = np.full(size, np.iinfo(np.int64).max)
-    wide = np.zeros(size, dtype=bool)
-    for lo in range(0, size, block):
+    count = adj.shape[2]
+    best = np.full(count, np.iinfo(np.int64).max)
+    wide = np.zeros(count, dtype=bool)
+    for lo in range(0, count, block):
         a = adj[:, :, lo : lo + block].astype(np.int64)
         # batches of search nodes as (graph index, adjacency, colours), the last one first
         todo = [(np.arange(lo, lo + a.shape[2]), a, np.zeros((n, a.shape[2]), dtype=np.int64))]
@@ -350,14 +355,26 @@ def _canon_codes(adj, n):
             c = colors[:, leaf]
             np.minimum.at(best, graph[leaf], (a[p, q][:, leaf] * pair[c[p] * n + c[q]]).sum(axis=0))
             target = (cells > 1).argmax(axis=1)
-            wide[graph[cells[np.arange(len(graph)), target] > 2]] = True
+            size = cells[np.arange(len(graph)), target]
+            wide[graph[size > _CELL_MAX]] = True
             keep = ~leaf & ~wide[graph]
-            graph, a, colors, target = graph[keep], a[:, :, keep], colors[:, keep], target[keep]
+            graph, a, colors, target, size = graph[keep], a[:, :, keep], colors[:, keep], target[keep], size[keep]
             if len(graph):
-                # individualize each vertex of the 2-cell in turn: the other one moves up a place
+                # child j individualizes the vertex of rank j in the target
+                # cell, which keeps the cell's start; the others move up one
+                # place.  Every node has children 0 and 1, and a node with a
+                # k-cell has k: more[j - 2] holds the nodes with a child j.
+                # All the children go into one batch, since many small
+                # batches cost more than their nodes; np.tile copies the
+                # adjacency of a batch of 2-cells a few percent faster than
+                # np.concatenate does.
                 cell = colors == target
-                first = cell & (cell.cumsum(axis=0) == 1)
-                graph, a, colors = np.tile(graph, 2), np.tile(a, 2), np.hstack([colors + (cell ^ first), colors + first])
+                rank = cell.cumsum(axis=0) - 1
+                more = [np.flatnonzero(size > j) for j in range(2, size.max())]
+                kids = [colors + (cell & (rank != j)) for j in range(size.max())]
+                graph = np.concatenate([graph, graph, *(graph[h] for h in more)])
+                colors = np.hstack([kids[0], kids[1], *(kids[j][:, h] for j, h in enumerate(more, 2))])
+                a = np.concatenate([a, a, *(a[:, :, h] for h in more)], axis=2) if more else np.tile(a, 2)
                 todo += [(graph[i : i + block], a[:, :, i : i + block], colors[:, i : i + block])
                          for i in range(0, len(graph), block)]
     return np.where(wide, -1, best)
@@ -374,19 +391,67 @@ def _search_codes(adj, n):
     return codes
 
 
-# the fewest slots that a scan searches as one batch: below it, one
-# search per slot is cheaper (the crossover in benchmarks/BENCH_canon.json)
+# the fewest slots that a scan searches as one batch, counted over all the
+# graphs of the call: below it, one search per slot is cheaper (the
+# crossover in benchmarks/BENCH_canon.json)
 _SCAN_BATCH_MIN = 12
 
 
-def _slot_codes(rows, n, slots):
-    # the canonical code of rows switched by the subset 2k, for each slot k
+def _slot_codes(graphs, n, index, slots):
+    # the canonical code of graphs[i] switched by the subset 2k, for each
+    # slot k and its graph's index i
     if len(slots) < _SCAN_BATCH_MIN:
-        return [run_canon(tuple(_switch_rows(rows, k << 1)), n)[0] for k in slots]
-    # side[v, i]: whether v is in subset i; a switch toggles exactly the
-    # pairs whose ends lie on different sides
+        return [run_canon(tuple(_switch_rows(graphs[i], k << 1)), n)[0] for i, k in zip(index, slots)]
+    # side[v, j]: whether v is in the subset of slot j; a switch toggles
+    # exactly the pairs whose ends lie on different sides
     side = ((np.array(slots) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
-    return _search_codes(_adjacency(rows, n) ^ (side[:, None] != side), n)
+    # one graph's stack broadcasts against its slots without a gather
+    adj = _adjacency(graphs, n)
+    if len(graphs) > 1:
+        adj = adj[:, :, index]
+    return _search_codes(adj ^ (side[:, None] != side), n)
+
+
+def _switch_orbit_scans(graphs, n, codes, gens):
+    """switch_orbit_scan of each graph of a sequence, all of order n.
+
+    codes[i] and gens[i] are graphs[i]'s own canonical code and
+    automorphism generators.  Each graph's slots are reduced under its
+    own generators, and the roots of all the graphs are searched
+    together: as one batch once there are _SCAN_BATCH_MIN of them, so n
+    stops at _CODES_MAX_ORDER.
+    """
+    full = (1 << n) - 1
+    half = 1 << (n - 1)
+    orbits = []  # per graph, the root of each slot, or None when every slot is one
+    index, slots = [], []
+    for i, generators in enumerate(gens):
+        root = None
+        if generators:
+            parent = list(range(half))
+            for g in generators:
+                image = [0] * half  # image[k]: the mask g(2k)
+                for k in range(1, half):
+                    low = k & -k
+                    image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
+                    _union(parent, k, (m ^ full if m & 1 else m) >> 1)
+            root = [_find(parent, k) for k in range(half)]
+        orbits.append(root)
+        roots = range(1, half) if root is None else [k for k in range(1, half) if root[k] == k]
+        index += [i] * len(roots)
+        slots += roots
+    # the roots' codes, in graph then slot order, which is the order the copy reads them
+    searched = iter(_slot_codes(graphs, n, index, slots))
+    scans = []
+    for code, root in zip(codes, orbits):
+        scan = [code]
+        if root is None:
+            scan += islice(searched, half - 1)
+        else:
+            for k in range(1, half):
+                scan.append(next(searched) if root[k] == k else scan[root[k]])
+        scans.append(tuple(scan))
+    return scans
 
 
 def switch_orbit_scan(rows, n, code, gens):
@@ -398,27 +463,10 @@ def switch_orbit_scan(rows, n, code, gens):
     Index 0 is code.  An automorphism s of the graph maps the switch by
     S onto the switch by s(S), so only the least slot of each class
     under the generators is searched and the rest copy its code; with
-    no generators every slot is searched.  The roots are searched as
-    one batch once there are _SCAN_BATCH_MIN of them, so n stops at
-    _CODES_MAX_ORDER.
+    no generators every slot is searched.  A batch of one of
+    _switch_orbit_scans.
     """
-    full = (1 << n) - 1
-    half = 1 << (n - 1)
-    if not gens:
-        return (code, *_slot_codes(rows, n, range(1, half)))
-    parent = list(range(half))
-    for g in gens:
-        image = [0] * half  # image[k]: the mask g(2k)
-        for k in range(1, half):
-            low = k & -k
-            image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
-            _union(parent, k, (m ^ full if m & 1 else m) >> 1)
-    roots = [k for k in range(1, half) if _find(parent, k) == k]
-    searched = dict(zip(roots, _slot_codes(rows, n, roots)))
-    codes = [code]
-    for k in range(1, half):
-        codes.append(searched[k] if k in searched else codes[_find(parent, k)])
-    return tuple(codes)
+    return _switch_orbit_scans([rows], n, [code], [gens])[0]
 
 
 def _triples(n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, VertexSet, induced_subgraph
-from .iso import _switch_orbit_codes, automorphisms, is_isomorphic
+from .iso import _switch_orbit_codes, _switch_orbit_scans, automorphisms, is_isomorphic
 from .switching import switch_set
 
 
@@ -54,8 +54,17 @@ def iss_family(g: Graph) -> IssFamily:
     canonical forms, one per automorphism orbit of those subsets;
     switching_class on the same graph reuses the scan.
     """
+    return _family(g, _switch_orbit_codes(g))
+
+
+def _iss_families(graphs) -> list[IssFamily]:
+    """iss_family of each graph, all of one order, from one batched scan."""
+    return [_family(g, codes) for g, codes in zip(graphs, _switch_orbit_scans(graphs))]
+
+
+def _family(g: Graph, codes: tuple[int, ...]) -> IssFamily:
+    # the family of g from its switch-orbit scan
     n = g.n
-    codes = _switch_orbit_codes(g)
     full = (1 << n) - 1
     # slot k holds the even mask 2k, whose complement switches the same way
     evens = [2 * k for k, c in enumerate(codes) if c == codes[0]]

@@ -48,12 +48,12 @@ from .iso import (
 )
 from .iss import (
     _derived_verdicts,
+    _iss_families,
     core_neighborhoods_partition,
     degree_extremes_adjacent,
     edge_iss_conditions,
     edge_iss_direct,
     is_iss,
-    iss_family,
     vertex_iss_set,
 )
 from .switching import switch_sequence, switch_set, switch_vertex
@@ -249,7 +249,7 @@ def suite_iss(max_order: int) -> SuiteResult:
     premise = 0
     closure_fails = 0
     for n, reps in _reps_upto(max_order):
-        fams = [iss_family(g) for g in reps]
+        fams = _iss_families(reps)
         for g, fam in zip(reps, fams):
             g6 = to_graph6(g)
             masks = {m.mask for m in fam.members}

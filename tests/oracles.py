@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 
-from seidelkit import Graph, relabel, seidel_matrix
+import numpy as np
+
+from seidelkit import Graph, _kernels, relabel, seidel_matrix
 
 
 def brute_canonical_code(g: Graph) -> int:
@@ -80,6 +82,30 @@ def group_elements(group) -> tuple[tuple[int, ...], ...]:
                 found.add(q)
                 todo.append(q)
     return tuple(sorted(found))
+
+
+def iss_counts(graphs, n: int) -> list[int]:
+    """|ISS(G)| for each graph of order n, with no canonical search.
+
+    The identity switches modulo complement match the cosets of Aut(G)
+    in Aut(T), T the two-graph of G.  By orbit-stabilizer on labeled
+    graphs and labeled two-graphs, |ISS(G)| = 2 |S_n G| / |S_n T|: |S_n T|
+    is the orbit size that _kernels.two_graph_orbits counts over all n!
+    relabelings, and |S_n G| the number of distinct upper-triangle codes
+    among G's n! relabelings.
+    """
+    perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
+    p, q = np.array([(i, j) for j in range(n) for i in range(j)], dtype=np.int64).reshape(-1, 2).T
+    weight = np.int64(1) << np.arange(len(p), dtype=np.int64)
+    two_graph_sizes = _kernels.two_graph_orbits([g.adj for g in graphs], n)[1]
+    counts = []
+    for g, size in zip(graphs, two_graph_sizes.tolist()):
+        adj = np.array([[(row >> j) & 1 for j in range(n)] for row in g.adj], dtype=np.int64)
+        labeled = len(np.unique(adj[perms[:, p], perms[:, q]] @ weight))
+        count, rest = divmod(2 * labeled, size)
+        assert rest == 0, (g.adj, labeled, size)
+        counts.append(count)
+    return counts
 
 
 def sympy_seidel_poly(g: Graph) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from seidelkit import _kernels, iss
 from seidelkit import VertexSet, from_graph6, make_graph, relabel, switch_set, switch_vertex
+from seidelkit.classes import _census
 from seidelkit.generators import (
     complete,
     complete_bipartite,
@@ -22,6 +23,7 @@ from seidelkit.generators import (
 from seidelkit.iso import (
     CANONICAL_MAX_ORDER,
     SWITCH_SCAN_MAX_ORDER,
+    canonical_form,
     is_isomorphic,
     nonisomorphic_graphs,
     similarity_orbits,
@@ -193,6 +195,24 @@ def test_family_members_are_exactly_the_identity_switches():
             if is_isomorphic(switch_set(g, VertexSet(g.n, m)), g)
         }
         assert got == want
+
+
+def test_family_sizes_match_the_search_free_count():
+    # the orbit-stabilizer count, which runs no canonical search, against
+    # the one-graph family, the iss suite's batched families and the
+    # census's extremes, on every graph of orders 2-7
+    for n in range(2, 8):
+        graphs = nonisomorphic_graphs(n)
+        want = oracles.iss_counts(graphs, n)
+        assert [iss_family(g).size for g in graphs] == want
+        assert [fam.size for fam in iss._iss_families(graphs)] == want
+        records, table = _census(n)
+        by_class = {}
+        for g, count in zip(graphs, want):
+            by_class.setdefault(table[canonical_form(g)], []).append(count)
+        assert [(r.iss_min, r.iss_max) for r in records] == [
+            (min(by_class[r.class_id]), max(by_class[r.class_id])) for r in records
+        ]
 
 
 def test_vertex_iss_sets():

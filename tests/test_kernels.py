@@ -13,19 +13,31 @@ from seidelkit import _kernels
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import Graph, graph_from_code, graph_to_code
-from seidelkit.iso import _child, _child_codes, _form, automorphisms, canonical_form
+from seidelkit.iso import (
+    SWITCH_SCAN_MAX_ORDER,
+    _child,
+    _child_codes,
+    _form,
+    _switch_orbit_scans,
+    automorphisms,
+    canonical_form,
+)
 
 
 def _random_graph(rng, n):
     return make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
 
 
-def test_switch_orbit_scan_matches_switch_set(monkeypatch):
+def _scan_graphs():
     rng = random.Random(31)
     graphs = [_random_graph(rng, rng.randint(2, 7)) for _ in range(10)]
     graphs += [_random_graph(rng, n) for n in (8, 9, 10)]
     # symmetric graphs, whose scans copy codes along automorphism orbits
-    graphs += [empty(7), complete(7), complete_bipartite(3, 4), cube_q3(), cycle(8), prism_c3p2(), cycle(10)]
+    return graphs + [empty(7), complete(7), complete_bipartite(3, 4), cube_q3(), cycle(8), prism_c3p2(), cycle(10)]
+
+
+def test_switch_orbit_scan_matches_switch_set(monkeypatch):
+    graphs = _scan_graphs()
     # scans on both sides of the slot threshold: batched and one search per slot
     batched = []
     search_codes = _kernels._search_codes
@@ -44,6 +56,30 @@ def test_switch_orbit_scan_matches_switch_set(monkeypatch):
     assert {8, 9, 10} <= set(batched)
 
 
+def _one_graph_scan(g):
+    code, _, _, _, gens = run_canon(g.adj, g.n)
+    return switch_orbit_scan(g.adj, g.n, code, gens)
+
+
+def test_many_graph_scans_match_one_graph_scans():
+    # every graph of orders 1-7 in one scan per order, and the graphs of
+    # the switch_set test in one scan per order they hold
+    groups = [list(nonisomorphic_graphs(n)) for n in range(1, 8)]
+    by_order = {}
+    for g in _scan_graphs():
+        by_order.setdefault(g.n, []).append(g)
+    for graphs in groups + list(by_order.values()):
+        assert _switch_orbit_scans(graphs) == [_one_graph_scan(g) for g in graphs]
+    assert _switch_orbit_scans([]) == []
+
+
+def test_many_graph_scans_refuse_mixed_and_large_orders():
+    with pytest.raises(ValueError):
+        _switch_orbit_scans([empty(7), empty(8)])
+    with pytest.raises(ValueError):
+        _switch_orbit_scans([empty(SWITCH_SCAN_MAX_ORDER + 1)] * 2)
+
+
 def _switches(g):
     return [switch_set(g, VertexSet(g.n, 2 * k)).adj for k in range(1 << (g.n - 1))]
 
@@ -58,10 +94,33 @@ def _two_cell_witness():
     return make_graph(10, ring + [(0, v) for v in (2, 3, 4, 7)] + [(1, v) for v in (5, 6, 8, 9)])
 
 
+def _cell_witnesses():
+    # Order 9: C6 on vertices 3-8, with 0 joined to 4 and 8, 1 to 5 and 7,
+    # and 2 to the opposite vertices 3 and 6.  Order 10: C6 on vertices
+    # 4-9, with 0, 1 and 3 joined to the runs 4-5-6, 8-9-4 and 6-7-8, and 2 to
+    # the alternate vertices 5, 7 and 9.  In each, the root partition is
+    # the k-cell {0, ..., k - 1} before the cycle, and 2 is alone in its
+    # orbit: a reflection swaps 0 and 1 in the first, a rotation permutes
+    # 0, 1 and 3 in the second.  The minimum leaf lies under the child of 2.
+    ring9 = [(3 + i, 3 + (i + 1) % 6) for i in range(6)]
+    ring10 = [(4 + i, 4 + (i + 1) % 6) for i in range(6)]
+    three = make_graph(9, ring9 + [(0, 4), (0, 8), (1, 5), (1, 7), (2, 3), (2, 6)])
+    joins = [(0, 1, 2), (4, 5, 0), (1, 3, 5), (2, 3, 4)]
+    four = make_graph(10, ring10 + [(a, 4 + v) for a, ring in enumerate(joins) for v in ring])
+    return {3: three, 4: four}
+
+
+def _rotations(g, k):
+    # g with its vertices 0..k-1 rotated, each rotation once: the minimum
+    # leaf's child takes every place in the cell
+    return [relabel(g, [(v + r) % k for v in range(k)] + list(range(k, g.n))) for r in range(k)]
+
+
 def _batch_inputs():
     # every labeled graph of orders 1-6, a sample at order 7, all the
-    # switches of random and of symmetric graphs at orders 8-10, and the
-    # two-cell witness with its pair in either order
+    # switches of random and of symmetric graphs at orders 8-10, the
+    # two-cell witness with its pair in either order, and the three- and
+    # four-cell witnesses in every rotation of their cell
     for n in range(1, 7):
         yield n, [graph_from_code(n, c).adj for c in range(1 << (n * (n - 1) // 2))]
     rng = random.Random(606)
@@ -74,6 +133,8 @@ def _batch_inputs():
         yield g.n, _switches(g)
     g = _two_cell_witness()
     yield 10, [g.adj, relabel(g, [1, 0, *range(2, 10)]).adj]
+    for k, g in _cell_witnesses().items():
+        yield g.n, [h.adj for h in _rotations(g, k)]
 
 
 def test_batched_codes_match_the_single_search():
@@ -87,7 +148,8 @@ def test_batched_codes_match_the_single_search():
             else:
                 resolved += 1
                 assert code == _kernels._canon(rows, n)[0]
-    # both ways run: graphs whose search meets only 2-cells, and the rest
+    # both ways run: graphs whose search meets only cells of up to four
+    # vertices, and the rest, which meet a larger one
     assert resolved > 0 and handed_back > 0
 
 
@@ -103,6 +165,23 @@ def test_two_cell_witness_needs_both_children():
     _, lab, _, orbit, _ = _kernels._canon(g.adj, 10)
     assert orbit[0] != orbit[1] and lab[0] == 1
     assert _kernels._canon_codes(adj, 10).tolist() != [-1]
+
+
+def test_cell_witnesses_need_every_child():
+    # The minimum leaf lies under the child of 2 alone, and the rotations
+    # move that child through every place in the cell, so a batched search
+    # that skipped any child of a 3- or 4-cell would miss it in one of the
+    # labelings that _batch_inputs holds.
+    for k, g in _cell_witnesses().items():
+        n = g.n
+        adj = _kernels._adjacency([g.adj], n)
+        root = _kernels._equitable(adj.astype(np.int64), np.zeros((n, 1), dtype=np.int64))
+        assert root[:, 0].tolist() == [0] * k + [k] * (n - k)
+        _, lab, _, orbit, _ = _kernels._canon(g.adj, n)
+        assert lab[0] == 2 and [orbit[v] == orbit[2] for v in range(k)].count(True) == 1
+        assert len({orbit[v] for v in range(k)}) >= 2
+        assert {_kernels._canon(h.adj, n)[1][0] for h in _rotations(g, k)} == set(range(k))
+        assert _kernels._canon_codes(adj, n).tolist() == [_kernels._canon(g.adj, n)[0]]
 
 
 def _round_widths(monkeypatch):
