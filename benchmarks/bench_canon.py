@@ -221,8 +221,11 @@ def pairs(layers_of, parent_src, change_src, repeat, count=PAIRS):
 
     Stops if the two sides' outputs differ.  Returns the record common
     to both scripts: commits, pairs, repeat, seed, the outputs digest and
-    per layer the times, their quartiles, the change's wins and the
-    ratio of the medians.
+    per layer the times, their quartiles, the change's wins, the ratio
+    of the medians and the median of the per-pair ratios.  The machine's
+    two speeds can fall unevenly on the two sides' samples and move the
+    ratio of the medians by up to 15% on identical code; a pair shares
+    one speed, so the per-pair median holds within a few percent.
     """
     sides = {"parent": layers_of(_load(parent_src, "seidelkit_parent")),
              "change": layers_of(_load(change_src, "seidelkit"))}
@@ -244,7 +247,8 @@ def pairs(layers_of, parent_src, change_src, repeat, count=PAIRS):
         rec["layers"][name] = {"parent": p, "change": c,
                                "parent_quartiles": _quartiles(p), "change_quartiles": _quartiles(c),
                                "change_wins": sum(x < y for x, y in zip(c, p)),
-                               "ratio": statistics.median(c) / statistics.median(p)}
+                               "ratio": statistics.median(c) / statistics.median(p),
+                               "median_pair_ratio": statistics.median(x / y for x, y in zip(c, p))}
     return rec
 
 

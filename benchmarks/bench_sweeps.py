@@ -8,12 +8,14 @@ per-layer bound.  Both checkouts need the search memo `_kernels.run_canon`
 pair:
 
 - the switching-algebra sweep `algebra_sweep(1..5)`;
-- the invariants, classes, iss and edge-iss suites at order 6, the iss
-  and edge-iss suites at order 7 and `census(7)`, each call started
-  with the search memo and the scan cache cleared, so it times searches,
-  not cache hits.  An order-6 suite call takes 0.05-0.25 s, too short to
-  resolve 10% on a machine that changes speed; the order-7 calls take
-  one to two seconds each;
+- the invariants, classes, iss and edge-iss suites at order 6, the iso,
+  invariants, classes, iss and edge-iss suites at order 7 and
+  `census(7)`, each call started with the search memo and the scan
+  cache cleared, so it times searches, not cache hits.  An order-6 suite
+  call takes 0.03-0.25 s, too short to resolve 10% on a machine that
+  changes speed; the order-7 calls of iso, classes, iss and edge-iss
+  take about a second each.  The invariants sweep stops at order 6, so
+  its order-7 layer repeats the order-6 work;
 - one `run_suites("all", 6)`, the whole of `verify --suite all`, which
   may fork worker processes, started with the same caches and the
   `nonisomorphic_graphs` cache cleared;
@@ -103,7 +105,7 @@ def _layers(sk):
     layers = {"algebra_sweep_1_5_s": (1.0, 1, lambda: [kernels.algebra_sweep(n) for n in range(1, 6)])}
     for name in ("invariants", "classes", "iss", "edge_iss"):
         layers[f"suite_{name}_6_s"] = (1.0, 1, suite(name, 6))
-    for name in ("iss", "edge_iss"):
+    for name in ("iso", "invariants", "classes", "iss", "edge_iss"):
         layers[f"suite_{name}_7_s"] = (1.0, 1, suite(name, 7))
 
     def verify_all():

@@ -9,20 +9,21 @@ Helpers carry a leading underscore, so the unprefixed functions are the
 only entry points.
 
 The same search also runs on a whole stack of graphs of one order at
-once (_canon_codes), for the two callers that need many forms and
-nothing else: the switch-orbit scan, once a call has _SCAN_BATCH_MIN
-slots to search over all its graphs, and iso.nonisomorphic_graphs, for
-each order's children.  It refines every node of every tree together
-and expands target cells of up to _CELL_MAX = 4 vertices, with no
-pruning, so it needs no automorphisms.  A graph whose search meets a
-cell of five or more vertices gets -1 and goes back to the pruned
-single search: an empty or complete graph would otherwise expand n!
-leaves.  Through order _CODES_MAX_ORDER a code fits
-in an int64; past it the batch refuses, and both callers stay within it
-(iso.GENERATION_MAX_ORDER and iso.SWITCH_SCAN_MAX_ORDER).  Each single
-search goes through run_canon, a memo keyed by the rows, so a graph that
-a scan, a reader and a suite all meet is searched once; batch codes
-never enter it.
+once (_canon_codes), for the callers that need many forms and nothing
+else: the switch-orbit scan, once a call has _SCAN_BATCH_MIN slots to
+search over all its graphs, iso.nonisomorphic_graphs, for each order's
+children, and _codes, for the code-only verdicts of verify's sweeps,
+once it has _SCAN_BATCH_MIN distinct graphs.  It refines every node of
+every tree together and expands target cells of up to _CELL_MAX = 4
+vertices, with no pruning, so it needs no automorphisms.  A graph whose
+search meets a cell of five or more vertices gets -1 and goes back to
+the pruned single search: an empty or complete graph would otherwise
+expand n! leaves.  Through order _CODES_MAX_ORDER a code fits in an
+int64; past it the batch refuses, and its callers stay within it
+(iso.GENERATION_MAX_ORDER, iso.SWITCH_SCAN_MAX_ORDER and
+verify.SWEEP_CAP).  Each single search goes through run_canon, a memo
+keyed by the rows, so a graph that a scan, a reader and a suite all
+meet is searched once; batch codes never enter it.
 
 The stack axis comes last: a stack is (n, n, graphs) bool, and a batch
 of search nodes holds its adjacency as (n, n, nodes) int64 and its
@@ -226,9 +227,10 @@ def _canon(rows, n):
     return best[0], best[1], count, orbit, tuple(gens)
 
 
-# Entries of the search memo.  verify --max-order 6 runs 2722 searches of
-# 2704 distinct rows in one process, and on two CPUs 2310 of 2308 in the
-# busier one.  So eviction costs at most 1% of the searches.
+# Entries of the search memo.  verify --max-order 6 runs 1338 searches of
+# 1338 distinct rows in one process, and on two CPUs at most 1071 in
+# either one, so it evicts nothing; the sweeps' code-only verdicts come
+# from batches (_codes), whose codes never enter it.
 _CANON_MEMO = 1 << 11
 
 
@@ -258,7 +260,9 @@ _CELL_MAX = 4
 _CODES_MAX_ORDER = max(n for n in range(1, 64) if n * (n - 1) // 2 <= 63 and (n + 1) * n.bit_length() <= 63)
 
 # entries of the (graphs, s, t) word stack that one block of the sweep
-# holds, and of the adjacency stack that one batch of search nodes holds
+# holds, and of the adjacency stack that one batch of search nodes holds;
+# and the multiply-adds of one block's matrix product in the Seidel
+# polynomial recursion (invariants._char_polys)
 _SWEEP_BLOCK = 1 << 16
 
 
@@ -410,6 +414,19 @@ def _slot_codes(graphs, n, index, slots):
     if len(graphs) > 1:
         adj = adj[:, :, index]
     return _search_codes(adj ^ (side[:, None] != side), n)
+
+
+def _codes(graphs, n):
+    # the canonical code of each row tuple of order n, in input order: the
+    # distinct tuples go one search each through run_canon below
+    # _SCAN_BATCH_MIN of them, and as one batch from there up
+    distinct = list(dict.fromkeys(graphs))
+    if len(distinct) < _SCAN_BATCH_MIN:
+        found = [run_canon(rows, n)[0] for rows in distinct]
+    else:
+        found = _search_codes(_adjacency(distinct, n), n)
+    code = dict(zip(distinct, found))
+    return [code[rows] for rows in graphs]
 
 
 def _switch_orbit_scans(graphs, n, codes, gens):

@@ -101,9 +101,10 @@ def census(n: int) -> list[CensusRecord]:
     """All switching classes of order n.
 
     Route: walk the isomorphism-class representatives in canonical-form
-    order.  The first one no class covers yet is the minimum of a new
-    class; one switch-orbit scan of its canonical graph lists the
-    class's members, one code per even-mask switch.  A member whose
+    order, their forms from one batched search.  The first one no class
+    covers yet is the minimum of a new class; one switch-orbit scan of
+    its canonical graph lists the class's members, one code per
+    even-mask switch.  A member whose
     code appears c times there has an identity-switch family of 2c
     subsets (each even mask stands for itself and its complement), and
     it adds n!/|Aut| labeled graphs.  Records come back sorted by
@@ -120,8 +121,9 @@ def _census(n: int) -> tuple[list[CensusRecord], dict[CanonicalForm, int]]:
     fact = math.factorial(n)
     table: dict[CanonicalForm, int] = {}
     records = []
-    for g in nonisomorphic_graphs(n):
-        cf = canonical_form(g)
+    reps = nonisomorphic_graphs(n)
+    # every representative's form, from one batched search
+    for cf in _forms(n, _kernels._codes([g.adj for g in reps], n)):
         if cf in table:
             continue
         rep = canonical_graph(cf)

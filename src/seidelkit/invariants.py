@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .graphs import Graph, _check_bound
 
 CHAR_POLY_MAX_ORDER = 16
@@ -41,9 +42,10 @@ def seidel_char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     Every graph must have the order of the first; an empty batch gives
     [].  Coefficients ascend (constant term first, leading coefficient 1)
     and are Python ints.  One Faddeev-LeVerrier recursion runs on the
-    whole B x n x n stack S = J - I - 2A with numpy's matrix product: in
-    int64 through order INT64_MAX_ORDER, where no entry can overflow,
-    and over Python ints (object arrays) above it.  Every division in it
+    B x n x n stack S = J - I - 2A with numpy's matrix product, in
+    blocks of at most _kernels._SWEEP_BLOCK // n**3 graphs: in int64
+    through order INT64_MAX_ORDER, where no entry can overflow, and over
+    Python ints (object arrays) above it.  Every division in it
     is exact, which the remainder check enforces.  The polynomial is
     invariant under both relabeling and switching, hence constant on a
     switching class.
@@ -54,24 +56,34 @@ def seidel_char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     _check_bound(n, CHAR_POLY_MAX_ORDER)
     if any(g.n != n for g in graphs):
         raise ValueError(f"every graph must have order {n}")
-    dtype = np.int64 if n <= INT64_MAX_ORDER else object
     rows = np.array([g.adj for g in graphs], dtype=np.int64).reshape(-1, n)
-    adj = (rows[:, :, None] >> np.arange(n)) & 1
+    return [tuple(c) for c in _char_polys(rows).tolist()]  # tolist gives Python ints
+
+
+def _char_polys(rows: np.ndarray) -> np.ndarray:
+    # the coefficients of seidel_char_polys as one (graphs, n + 1) array, for
+    # a (graphs, n) int64 array of adjacency rows
+    count, n = rows.shape
+    dtype = np.int64 if n <= INT64_MAX_ORDER else object
     eye = np.identity(n, dtype=np.int64)
-    s = (1 - eye - 2 * adj).astype(dtype)
-    coeffs = np.zeros((len(s), n + 1), dtype=dtype)
+    coeffs = np.zeros((count, n + 1), dtype=dtype)
     coeffs[:, n] = 1
-    m = eye.astype(dtype)  # matmul broadcasts it over the stack
-    for k in range(1, n + 1):
-        m = s @ m
-        diag = m.reshape(len(m), n * n)[:, :: n + 1]  # a view: writes reach m
-        trace = diag.sum(axis=1)
-        if (trace % k).any():
-            raise AssertionError("inexact trace division in char poly recursion")
-        q = trace // k
-        coeffs[:, n - k] = -q
-        diag -= q[:, None]
-    return [tuple(c) for c in coeffs.tolist()]  # tolist gives Python ints
+    # a block's matrix product runs at most _SWEEP_BLOCK multiply-adds
+    block = max(1, _kernels._SWEEP_BLOCK // n**3)
+    for lo in range(0, count, block):
+        adj = (rows[lo : lo + block, :, None] >> np.arange(n)) & 1
+        s = (1 - eye - 2 * adj).astype(dtype)
+        m = eye.astype(dtype)  # matmul broadcasts it over the stack
+        for k in range(1, n + 1):
+            m = s @ m
+            diag = m.reshape(len(m), n * n)[:, :: n + 1]  # a view: writes reach m
+            trace = diag.sum(axis=1)
+            if (trace % k).any():
+                raise AssertionError("inexact trace division in char poly recursion")
+            q = trace // k
+            coeffs[lo : lo + block, n - k] = -q
+            diag -= q[:, None]
+    return coeffs
 
 
 def seidel_char_poly(g: Graph) -> tuple[int, ...]:

@@ -103,15 +103,33 @@ def canonical_graph(cf: CanonicalForm) -> Graph:
     return Graph._of(cf.n, tuple(_upper_rows(cf.n, _code(cf))))
 
 
+def _same_degrees(a, b) -> bool:
+    # whether two row tuples have the same sorted degree sequence
+    return sorted(map(int.bit_count, a)) == sorted(map(int.bit_count, b))
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Equal canonical forms.  Once the order bound is checked, unequal
     sorted degree sequences answer no before any search."""
     if g.n != h.n:
         return False
     _check_bound(g.n, CANONICAL_MAX_ORDER)
-    if sorted(map(int.bit_count, g.adj)) != sorted(map(int.bit_count, h.adj)):
-        return False
-    return canonical_form(g) == canonical_form(h)
+    return _same_degrees(g.adj, h.adj) and canonical_form(g) == canonical_form(h)
+
+
+def _isomorphic_pairs(pairs, n: int) -> list[bool]:
+    """is_isomorphic of each pair of row tuples of order n, decided together.
+
+    The degree guard is is_isomorphic's; the pairs that pass it take
+    their codes from one _kernels._codes call, so a sweep decides a
+    whole order's pairs in one batched search, which stops at order
+    _kernels._CODES_MAX_ORDER.
+    """
+    _check_bound(n, _kernels._CODES_MAX_ORDER)
+    same = [_same_degrees(a, b) for a, b in pairs]
+    codes = iter(_kernels._codes([rows for pair, s in zip(pairs, same) if s for rows in pair], n))
+    # each pair that passed the guard takes the next two codes
+    return [s and next(codes) == next(codes) for s in same]
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:

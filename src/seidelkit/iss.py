@@ -10,6 +10,14 @@ whose sorted degree sequence differs from G's is "not isomorphic"
 before any canonical search; edge_iss_conditions likewise settles
 condition_ii when the two sets are equal, or differ in their core
 degrees, before it searches Aut(core).
+
+verify's edge sweep decides the three switches of every edge of a whole
+order at once in _edge_reports: the same degree guard, then one batched
+search for the codes (iso._isomorphic_pairs).  condition_ii there is
+edge_iss_conditions' own code, which searches Aut(core) one core at a
+time.  Every public function here keeps its one-graph route, and so
+does the iss suite: its spot check and singleton verdicts run the
+single search, its families the switch-orbit scan.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, VertexSet, induced_subgraph
-from .iso import _switch_orbit_codes, _switch_orbit_scans, automorphisms, is_isomorphic
+from .graphs import Graph, VertexSet, _switch_rows, induced_subgraph
+from .iso import _isomorphic_pairs, _switch_orbit_codes, _switch_orbit_scans, automorphisms, is_isomorphic
 from .switching import switch_set
 
 
@@ -154,6 +162,11 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
     order 2 the core is empty and the condition holds vacuously.
     """
     direct = edge_iss_direct(g, x, y)  # raises ValueError for a non-edge
+    return EdgeIssReport(x, y, direct, *_conditions(g, x, y))
+
+
+def _conditions(g: Graph, x: int, y: int) -> tuple[bool, bool]:
+    # condition_i and condition_ii of edge_iss_conditions for the edge xy
     n = g.n
     condition_i = g.degree(x) + g.degree(y) == n
     rest = _core(g, x, y)
@@ -186,7 +199,7 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
                     orbit.add(img)
                     todo.append(img)
         condition_ii = target in orbit
-    return EdgeIssReport(x, y, direct, condition_i, condition_ii)
+    return condition_i, condition_ii
 
 
 def core_neighborhoods_partition(g: Graph, x: int, y: int) -> bool:
@@ -197,16 +210,41 @@ def core_neighborhoods_partition(g: Graph, x: int, y: int) -> bool:
     return (a & b) == 0 and (a | b) == rest
 
 
-def _derived_verdicts(g: Graph, x: int, y: int) -> tuple[bool, bool]:
-    # the verdicts for {x, y} on g minus xy and on g with its core flipped; the
-    # second graph is the first complemented and switched by {x, y}, so they agree
+def _derived_rows(g: Graph, x: int, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # the rows of g minus xy and of g with its core flipped; the second graph
+    # is the first complemented and switched by {x, y}, so their verdicts agree
     rest = _core(g, x, y)
     removed = list(g.adj)
     removed[x] &= ~(1 << y)
     removed[y] &= ~(1 << x)
     flipped = [(row ^ rest) & ~(1 << i) if rest >> i & 1 else row for i, row in enumerate(g.adj)]
+    return tuple(removed), tuple(flipped)
+
+
+def _derived_verdicts(g: Graph, x: int, y: int) -> tuple[bool, bool]:
+    # the verdicts for {x, y} on g minus xy and on g with its core flipped
+    removed, flipped = _derived_rows(g, x, y)
     s = VertexSet.from_indices(g.n, (x, y))
-    return is_iss(Graph._of(g.n, tuple(removed)), s), is_iss(Graph._of(g.n, tuple(flipped)), s)
+    return is_iss(Graph._of(g.n, removed), s), is_iss(Graph._of(g.n, flipped), s)
+
+
+def _edge_reports(graphs) -> list[list[tuple[EdgeIssReport, bool, bool]]]:
+    """For each graph, all of one order, and each of its edges in g.edges() order:
+    edge_iss_conditions(g, x, y) followed by _derived_verdicts(g, x, y).
+
+    The direct, g - xy and flipped-core switches of every edge are
+    decided together, in one _isomorphic_pairs call.
+    """
+    if not graphs:
+        return []
+    pairs = []
+    for g in graphs:
+        for x, y in g.edges():
+            s = 1 << x | 1 << y
+            pairs += [(rows, tuple(_switch_rows(rows, s))) for rows in (g.adj, *_derived_rows(g, x, y))]
+    verdicts = iter(_isomorphic_pairs(pairs, graphs[0].n))
+    return [[(EdgeIssReport(x, y, next(verdicts), *_conditions(g, x, y)), next(verdicts), next(verdicts))
+             for x, y in g.edges()] for g in graphs]
 
 
 def edge_removed_agreement(g: Graph, x: int, y: int) -> bool:

@@ -8,6 +8,20 @@ fail the run on any violation.  Swept claims (symmetric-difference
 closure of identity-switch families, the core partition, the
 edge-removal remark, the necessity direction) only emit findings; a
 counterexample there is a result, not a bug.
+
+The sweeps decide by order.  A verdict that needs only canonical codes
+takes them from one batched search per order (_kernels._codes, after
+is_isomorphic's degree guard where two graphs are compared): the edge
+suite's direct, g - xy and flipped-core verdicts (iss._edge_reports),
+the iso suite's same-orbit switch pairs, the classes suite's
+complement and self-complement tests and the census's representative
+forms; the invariants suite evaluates each order's switches and
+relabelings in one blocked polynomial recursion.  The oracles that
+check the batch stay on the single search: the iso suite's
+relabelings, the iss suite's spot check and singleton verdicts (its
+families come from the batched switch-orbit scan), automorphism
+counts, orbits and generators, the search of Aut(core) in
+condition_ii and the constructions.
 """
 
 from __future__ import annotations
@@ -18,6 +32,8 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import _kernels
 from .classes import CENSUS_MAX_ORDER, _census, census_labeled_components
@@ -37,9 +53,11 @@ from .generators import (
     tadpole,
 )
 from .graph6 import from_graph6, to_graph6
-from .graphs import VertexSet, complement, relabel
-from .invariants import seidel_char_poly, seidel_char_polys
+from .graphs import VertexSet, _switch_rows, complement, relabel
+from .invariants import _char_polys, seidel_char_poly
 from .iso import (
+    _forms,
+    _isomorphic_pairs,
     automorphism_count,
     canonical_form,
     is_isomorphic,
@@ -47,11 +65,10 @@ from .iso import (
     similarity_orbits,
 )
 from .iss import (
-    _derived_verdicts,
+    _edge_reports,
     _iss_families,
     core_neighborhoods_partition,
     degree_extremes_adjacent,
-    edge_iss_conditions,
     edge_iss_direct,
     is_iss,
     vertex_iss_set,
@@ -178,18 +195,21 @@ def suite_iso(max_order: int) -> SuiteResult:
         # counting identity: sum over classes of n!/|Aut| = number of labeled graphs
         res.check(labeled == 1 << (n * (n - 1) // 2),
                   f"labeled count identity failed at order {n}: {labeled}")
-    # same-orbit vertices always switch to isomorphic graphs
+    # same-orbit vertices always switch to isomorphic graphs; each order's
+    # pairs are decided together
     pairs = 0
     for n, reps in _reps_upto(min(max_order, 6)):
+        where, switched = [], []
         for g in reps:
             g6 = to_graph6(g)
             for orb in similarity_orbits(g):
-                u = orb[0]
-                gu = switch_vertex(g, u)
+                gu = tuple(_switch_rows(g.adj, 1 << orb[0]))
                 for v in orb[1:]:
-                    pairs += 1
-                    res.check(is_isomorphic(gu, switch_vertex(g, v)),
-                              f"same-orbit switches differ: {g6} vertices {u},{v}")
+                    where.append((g6, orb[0], v))
+                    switched.append((gu, tuple(_switch_rows(g.adj, 1 << v))))
+        for (g6, u, v), same in zip(where, _isomorphic_pairs(switched, n)):
+            pairs += 1
+            res.check(same, f"same-orbit switches differ: {g6} vertices {u},{v}")
     res.lines.append(f"same-orbit switch agreement: {pairs} vertex pairs")
     if max_order >= 6:
         t = tadpole(3, 4)
@@ -216,25 +236,33 @@ def suite_invariants(max_order: int) -> SuiteResult:
     for g, want in fixtures:
         res.check(seidel_char_poly(g) == want, f"pinned polynomial wrong for {to_graph6(g)}")
     for n, reps in _reps_upto(min(max_order, 6)):
-        polys = 0
+        relabelings = []
         for idx, g in enumerate(reps):
             # seeded per graph, so each relabeling is fixed by (n, idx) alone
             rng = random.Random(f"{SEED}:{n}:{idx}")
             perm = list(range(n))
             rng.shuffle(perm)
-            # one batch: g, its even-mask switches, its relabeling
-            switched = [switch_set(g, VertexSet(n, half << 1)) for half in range(1 << (n - 1))]
-            poly, *moved, relabeled = seidel_char_polys([g, *switched, relabel(g, tuple(perm))])
-            if poly[n] != 1 or poly[n - 1] != 0:
+            relabelings.append(relabel(g, tuple(perm)).adj)
+        # one batch per order: the width rows of each graph are g, its
+        # even-mask switches in mask order and its relabeling
+        rows = np.array([g.adj for g in reps], dtype=np.int64)[:, None]
+        stack = np.concatenate([rows, rows ^ _kernels._switch_pattern(n)[::2],
+                                np.array(relabelings, dtype=np.int64)[:, None]], axis=1)
+        coeffs = _char_polys(stack.reshape(-1, n)).reshape(len(reps), stack.shape[1], n + 1)
+        poly = coeffs[:, 0]
+        bad = (poly[:, n] != 1) | (poly[:, n - 1] != 0)
+        moved = (coeffs[:, 1:-1] != poly[:, None]).any(axis=2)
+        relabel_moved = (coeffs[:, -1] != poly).any(axis=1)
+        polys = 0
+        for idx, g in enumerate(reps):
+            if bad[idx]:
                 res.violations.append(f"leading/trace coefficient wrong: {to_graph6(g)}")
-            polys += 1
-            for half, p in enumerate(moved):
-                polys += 1
-                if p != poly:
-                    res.violations.append(f"polynomial moved under switch: {to_graph6(g)} mask {half << 1}")
-                    break
-            polys += 1
-            if relabeled != poly:
+            # the evaluations count the switches up to the first that moves, or all
+            half = int(moved[idx].argmax()) if moved[idx].any() else len(moved[idx]) - 1
+            polys += half + 3
+            if moved[idx, half]:
+                res.violations.append(f"polynomial moved under switch: {to_graph6(g)} mask {half << 1}")
+            if relabel_moved[idx]:
                 res.violations.append(f"polynomial moved under relabeling: {to_graph6(g)}")
         res.checks += polys
         res.lines.append(
@@ -295,11 +323,11 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
     res = SuiteResult("edge-iss")
     for n, reps in _reps_upto(max_order):
         edges = direct = conds = agree = 0
-        for g in reps:
+        for g, reports in zip(reps, _edge_reports(reps)):
             g6 = to_graph6(g)
-            for (x, y) in g.edges():
+            for r, removed, flipped in reports:
+                x, y = r.x, r.y
                 edges += 1
-                r = edge_iss_conditions(g, x, y)
                 if r.direct:
                     direct += 1
                 if r.by_conditions:
@@ -326,7 +354,6 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
                             f"edge ({x},{y}) is an identity switch but the core neighborhoods overlap or miss vertices",
                         ))
                 res.checks += 1
-                removed, flipped = _derived_verdicts(g, x, y)
                 if removed != r.direct:
                     res.findings.append(Finding(
                         "edge-removed-equivalence",
@@ -363,20 +390,21 @@ def suite_classes(max_order: int) -> SuiteResult:
             f"order {n}: {len(recs)} switching classes over {iso_total} isomorphism classes; "
             f"labeled counts cross-checked by vertex-switch components"
         )
-    # complement classes have equal size, read from the census records
+    # complement classes have equal size, read from the census records; the
+    # forms of each order's graphs and complements come from one batch
     pairs = 0
     for n, reps in _reps_upto(min(max_order, 6)):
         sizes, table = by_order[n]
-        for g in reps:
+        forms = _forms(n, _kernels._codes([rows for g in reps for rows in (g.adj, complement(g).adj)], n))
+        for g, cf, co in zip(reps, forms[::2], forms[1::2]):
             pairs += 1
-            res.check(sizes[table[canonical_form(g)]] == sizes[table[canonical_form(complement(g))]],
-                      f"complement class size differs: {to_graph6(g)}")
+            res.check(sizes[table[cf]] == sizes[table[co]], f"complement class size differs: {to_graph6(g)}")
     res.lines.append(f"complement-class sizes agree for {pairs} graphs")
     # no self-complementary graph when the pair count is odd
     for n in (2, 3, 6, 7):
         if n > min(max_order, SWEEP_CAP):
             continue
-        res.check(not any(is_isomorphic(g, complement(g)) for g in nonisomorphic_graphs(n)),
+        res.check(not any(_isomorphic_pairs([(g.adj, complement(g).adj) for g in nonisomorphic_graphs(n)], n)),
                   f"unexpected self-complementary graph at order {n}")
         res.lines.append(f"order {n}: no self-complementary graph, classes pair up under complement")
     if max_order >= 4:

@@ -192,6 +192,30 @@ def test_verify_edge_iss_at_order_seven_pinned():
     assert digest == "64022c21e0f06fc443eb670f992d78f758edfe5149720c5270a00abbd81d36e6"
 
 
+@pytest.mark.parametrize("max_order, findings, stdout_sha, jsonl_sha, whole_sha", [
+    (6, 172, "497db11161e68505a932c6c23c6d2691fbbd82f1ef7a336ad84909b31490bebb",
+     "2fb3348241707e39fdc751a961936c7623ce1738ccc0c18fe5b76e26e0670bc5",
+     "ddd8ce33f0ca7da3b89b2bc83aec0fb6de19f0f3ceba9dc18ea2f1d28b889a4d"),
+    (7, 781, "f122e5c4f13e24201fa9b8a403857c0bbc550ec7a5abcb58a2b4114ec90c1d11",
+     "6dca032bca0e5a0883f874ce03dbbbb579c9240af801e8435f5507206444ce98",
+     "509bf0cd1dc544c23d9b8e303baeb49798730a68c03f78b46def4dea13e38bac"),
+], ids=["6", "7"])
+def test_verify_all_pinned(tmp_path, max_order, findings, stdout_sha, jsonl_sha, whole_sha):
+    # every suite, byte for byte: the report, the --out findings, and the
+    # stdout of a run without --out, which prints the findings before the
+    # last line
+    target = tmp_path / "findings.jsonl"
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-order", str(max_order), "--out", str(target)])
+    jsonl = target.read_text()
+    assert code == 0
+    assert out.splitlines()[-1] == f"PASS (0 violations, {findings} findings)"
+    assert len(jsonl.splitlines()) == findings
+    body, last = out[:-1].rsplit("\n", 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == jsonl_sha
+    assert hashlib.sha256(f"{body}\n{jsonl}{last}\n".encode()).hexdigest() == whole_sha
+
+
 def test_verify_unknown_suite():
     code, _, err = run_cli(["verify", "--suite", "nonesuch", "--max-order", "3"])
     assert code == 2

@@ -1,13 +1,15 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 import oracles
-from seidelkit import VertexSet, make_graph, relabel, switch_set
+from seidelkit import VertexSet, _kernels, make_graph, relabel, switch_set
 from seidelkit.generators import complete, cycle, empty, path
 from seidelkit.invariants import (
     CHAR_POLY_MAX_ORDER,
+    _char_polys,
     INT64_MAX_ORDER,
     class_signature,
     seidel_char_poly,
@@ -152,3 +154,16 @@ def test_order_sixteen_finishes_quickly():
         poly = seidel_char_poly(g)
         assert time.perf_counter() - t < 1.0
         assert len(poly) == n + 1 and poly[-1] == 1
+
+
+@pytest.mark.parametrize("n, sweep_block", [(6, _kernels._SWEEP_BLOCK), (13, 2 * 13**3)])
+def test_blocked_polynomials_match_one_graph_at_a_time(monkeypatch, n, sweep_block):
+    # two whole blocks and part of a third, at an int64 order and an
+    # object order; each graph alone is one block of one graph
+    monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", sweep_block)
+    block = sweep_block // n**3
+    rng = random.Random(n)
+    graphs = [make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+              for _ in range(2 * block + 1)]
+    rows = np.array([g.adj for g in graphs], dtype=np.int64)
+    assert [tuple(c) for c in _char_polys(rows).tolist()] == [seidel_char_polys([g])[0] for g in graphs]

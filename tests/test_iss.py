@@ -421,6 +421,26 @@ def test_edge_removal_changes_the_verdict_at_order_eight():
     assert not complemented_core_agreement(g, 0, 1)
 
 
+def test_edge_reports_match_the_single_graph_route():
+    # every edge through order 6, GyWYdO and 32 seeded random graphs of
+    # orders 7-10, one _edge_reports call per order: each report and both
+    # derived verdicts equal those of the one-edge functions
+    rng = random.Random(23)
+    groups = [list(nonisomorphic_graphs(n)) for n in range(1, 7)]
+    for n in range(7, 11):
+        groups.append([make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+                       for _ in range(8)])
+    groups[7].append(from_graph6("GyWYdO"))
+    seen = 0
+    for graphs in groups:
+        want = [[(edge_iss_conditions(g, x, y), *iss._derived_verdicts(g, x, y)) for x, y in g.edges()]
+                for g in graphs]
+        assert iss._edge_reports(graphs) == want
+        seen += sum(map(len, want))
+    assert seen > 1380
+    assert iss._edge_reports([]) == []
+
+
 def test_family_order_bound():
     with pytest.raises(ValueError):
         iss_family(empty(SWITCH_SCAN_MAX_ORDER + 1))

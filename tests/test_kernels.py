@@ -153,6 +153,27 @@ def test_batched_codes_match_the_single_search():
     assert resolved > 0 and handed_back > 0
 
 
+def test_codes_match_the_single_search(monkeypatch):
+    # below _SCAN_BATCH_MIN distinct row tuples, one search each through
+    # the memo; from it up, one batch, whose hand-backs (empty(8) and
+    # K_{4,4} meet a cell of eight) alone enter the memo.  Repeats are
+    # searched once and answered in place.
+    rng = random.Random(808)
+    wide = [empty(8).adj, complete_bipartite(4, 4).adj]
+    assert _kernels._canon_codes(_kernels._adjacency(wide, 8), 8).tolist() == [-1, -1]
+    batched = []
+    search_codes = _kernels._search_codes
+    monkeypatch.setattr(_kernels, "_search_codes", lambda adj, n: batched.append(adj.shape[2]) or search_codes(adj, n))
+    for distinct in (_kernels._SCAN_BATCH_MIN - 1, _kernels._SCAN_BATCH_MIN, 40):
+        graphs = wide + [_random_graph(rng, 8).adj for _ in range(distinct - 2)]
+        graphs += graphs[::3]
+        run_canon.cache_clear()
+        assert _kernels._codes(graphs, 8) == [_kernels._canon(rows, 8)[0] for rows in graphs]
+        assert run_canon.cache_info().currsize == (2 if distinct >= _kernels._SCAN_BATCH_MIN else distinct)
+    assert batched == [_kernels._SCAN_BATCH_MIN, 40]
+    assert _kernels._codes([], 8) == []
+
+
 def test_two_cell_witness_needs_both_children():
     # The minimum leaf lies under one child of the root's target cell
     # {0, 1}, the child of vertex 1, so a batched search that expanded only

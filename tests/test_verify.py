@@ -141,20 +141,24 @@ def test_classes_suite_reports_a_planted_class_size(monkeypatch):
 
 def test_invariants_suite_reports_moved_polynomials(monkeypatch):
     # at order 3 one switched and the relabeled polynomial move; at order
-    # 4 every polynomial of one graph gains a trace coefficient
+    # 4 every polynomial of one graph gains a trace coefficient.  Each
+    # order's rows come in one call, width rows per graph: the graph, its
+    # even-mask switches in mask order and its relabeling
     moved, traced = nonisomorphic_graphs(3)[1], nonisomorphic_graphs(4)[0]
-    real = verify.seidel_char_polys
+    real = verify._char_polys
 
-    def faulty(graphs):
-        polys = real(graphs)
-        if graphs[0] == moved:
-            for i in (2, -1):  # the switch by mask 2, the relabeling
-                polys[i] = (polys[i][0] + 1, *polys[i][1:])
-        elif graphs[0] == traced:
-            polys = [(*p[:3], p[3] + 1, p[4]) for p in polys]
-        return polys
+    def faulty(rows):
+        coeffs = real(rows)
+        width = (1 << (rows.shape[1] - 1)) + 2
+        for lo in range(0, len(rows), width):
+            first = tuple(rows[lo].tolist())
+            if first == moved.adj:
+                coeffs[[lo + 2, lo + width - 1], 0] += 1  # the switch by mask 2, the relabeling
+            elif first == traced.adj:
+                coeffs[lo : lo + width, 3] += 1
+        return coeffs
 
-    monkeypatch.setattr(verify, "seidel_char_polys", faulty)
+    monkeypatch.setattr(verify, "_char_polys", faulty)
     res = verify.suite_invariants(4)
     assert res.violations == [
         f"polynomial moved under switch: {to_graph6(moved)} mask 2",
@@ -217,19 +221,26 @@ def test_edge_suite_reports_the_order_eight_edge_removal_witness(monkeypatch):
 
 
 def test_edge_suite_decides_each_edge_once(monkeypatch):
-    # three decisions for each of the 1380 edges through order 6: the
-    # direct one, g minus the edge and g with its core complemented
-    real = iss.is_iss
+    # three verdicts for each of the 1380 edges through order 6, all from
+    # _edge_reports: the direct one, g minus the edge and g with its core
+    # complemented; the suite decides no switch on its own
+    real = verify._edge_reports
+    verdicts = []
+
+    def counting(graphs):
+        got = real(graphs)
+        verdicts.extend(v for reports in got for r, removed, flipped in reports
+                        for v in (r.direct, removed, flipped))
+        return got
+
     calls = []
-
-    def counting(g, s):
-        calls.append(s.mask)
-        return real(g, s)
-
-    monkeypatch.setattr(iss, "is_iss", counting)
+    for module in (iss, verify):
+        monkeypatch.setattr(module, "is_iss", lambda g, s, real=iss.is_iss: calls.append(s) or real(g, s))
+    monkeypatch.setattr(verify, "_edge_reports", counting)
     res = verify.run_suite("edge-iss", 6)
     assert sum(int(line.split()[2]) for line in res.lines if line.startswith("order")) == 1380
-    assert len(calls) == 3 * 1380
+    assert len(verdicts) == 3 * 1380
+    assert calls == []
 
 
 def test_classes_suite_scans_each_class_once(monkeypatch):
