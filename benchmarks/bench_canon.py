@@ -39,12 +39,12 @@ Every output of the timed calls is hashed per side, and the run stops
 if the two digests differ, so both sides computed the same codes,
 labelings, group orders, orbits, generators and representatives.
 
-`--crossover` times, on this checkout alone, the two ways a scan call
-can search k slots, spread over CROSSOVER_GRAPHS random graphs of order
-n as a many-graph scan spreads a whole order's roots: one search per
-slot, and one batch; each figure is the median over PAIRS alternating
-pairs, per call.  The scan's `_SCAN_BATCH_MIN` is the k from which the
-batch wins.
+`--crossover` times, on this checkout alone, the two ways
+`_kernels._search_codes` can search the switched stack of k scan slots,
+spread over CROSSOVER_GRAPHS random graphs of order n as a many-graph
+scan spreads a whole order's roots: one search per graph, and one
+batch; each figure is the median over PAIRS alternating pairs, per
+call.  `_SCAN_BATCH_MIN` is the k from which the batch wins.
 
 Run from the repository root:
 
@@ -271,9 +271,9 @@ def crossover(src):
     kernels = sk._kernels
     cold = kernels.run_canon.cache_clear
 
-    def slot_codes(graphs, n, index, slots):
+    def search_codes(adj, n):
         cold()
-        return kernels._slot_codes(graphs, n, index, slots)
+        return kernels._search_codes(adj, n)
 
     rng = random.Random(SEED)
     default = kernels._SCAN_BATCH_MIN
@@ -288,11 +288,14 @@ def crossover(src):
                 # slot j of the call is slot j // CROSSOVER_GRAPHS + 1 of graph j % CROSSOVER_GRAPHS
                 index = [j % len(batch) for j in range(k)]
                 slots = [j // len(batch) + 1 for j in range(k)]
+                # the switched stack, as _kernels._switch_orbit_scans builds it
+                side = ((np.array(slots, dtype=np.int64) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
+                adj = kernels._adjacency(batch, n)[:, :, index] ^ (side[:, None] != side)
                 got = {"per_slot": [], "batch": []}
                 for _ in range(PAIRS):
                     for way, threshold in (("per_slot", k + 1), ("batch", 0)):
                         kernels._SCAN_BATCH_MIN = threshold
-                        got[way].append(1e3 * _median_s(lambda: slot_codes(batch, n, index, slots), REPEAT))
+                        got[way].append(1e3 * _median_s(lambda: search_codes(adj, n), REPEAT))
                 rec["ms"][f"{n}:{k}"] = {way: statistics.median(ts) for way, ts in got.items()}
     finally:
         kernels._SCAN_BATCH_MIN = default
@@ -303,7 +306,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default="src", help="directory holding the changed seidelkit package")
     ap.add_argument("--parent", help="directory holding the parent's seidelkit package")
-    ap.add_argument("--crossover", action="store_true", help="sweep the scan's batch threshold instead")
+    ap.add_argument("--crossover", action="store_true", help="sweep the batch threshold of _search_codes instead")
     args = ap.parse_args(argv)
     if not args.crossover and not args.parent:
         ap.error("--parent is required unless --crossover is given")

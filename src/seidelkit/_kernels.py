@@ -10,10 +10,12 @@ only entry points.
 
 The same search also runs on a whole stack of graphs of one order at
 once (_canon_codes), for the callers that need many forms and nothing
-else: the switch-orbit scan, once a call has _SCAN_BATCH_MIN slots to
-search over all its graphs, iso.nonisomorphic_graphs, for each order's
-children, and _codes, for the code-only verdicts of verify's sweeps,
-once it has _SCAN_BATCH_MIN distinct graphs.  It refines every node of
+else: the switch-orbit scan, iso.nonisomorphic_graphs, for each order's
+children, and _codes, for the code-only verdicts of verify's sweeps.
+Each of them hands its stack to _search_codes, which runs one batch
+from _SCAN_BATCH_MIN graphs up and one single search per graph below
+that, so a scan with few slots and generation's children of orders 2
+and 3 go one search at a time.  The batch refines every node of
 every tree together and expands target cells of up to _CELL_MAX = 4
 vertices, with no pruning, so it needs no automorphisms.  A graph whose
 search meets a cell of five or more vertices gets -1 and goes back to
@@ -61,7 +63,7 @@ product that is the group order, and ends holding the vertex orbits.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -228,9 +230,9 @@ def _canon(rows, n):
 
 
 # Entries of the search memo.  verify --max-order 6 runs 1338 searches of
-# 1338 distinct rows in one process, and on two CPUs at most 1071 in
-# either one, so it evicts nothing; the sweeps' code-only verdicts come
-# from batches (_codes), whose codes never enter it.
+# 1338 distinct rows in one process, and on two CPUs 511 to 1127 in
+# either one, as the suites fall, so it evicts nothing; the codes of
+# _search_codes's batches never enter it.
 _CANON_MEMO = 1 << 11
 
 
@@ -384,10 +386,20 @@ def _canon_codes(adj, n):
     return np.where(wide, -1, best)
 
 
+# the fewest graphs that _search_codes searches as one batch: below it,
+# one search per graph is cheaper (the crossover in
+# benchmarks/BENCH_canon.json)
+_SCAN_BATCH_MIN = 12
+
+
 def _search_codes(adj, n):
-    # the canonical code of each graph of a bool stack, as a list of ints:
-    # the batch where it resolves, _canon for the rest
-    codes = _canon_codes(adj, n).tolist()
+    # the canonical code of each graph of an (n, n, graphs) bool stack, as
+    # a list of ints: one batch from _SCAN_BATCH_MIN graphs up, and
+    # run_canon for the graphs below it and for the batch's hand-backs
+    if adj.shape[2] < _SCAN_BATCH_MIN:
+        codes = [-1] * adj.shape[2]
+    else:
+        codes = _canon_codes(adj, n).tolist()
     bit = np.int64(1) << np.arange(n)
     for i, code in enumerate(codes):
         if code < 0:
@@ -395,37 +407,11 @@ def _search_codes(adj, n):
     return codes
 
 
-# the fewest slots that a scan searches as one batch, counted over all the
-# graphs of the call: below it, one search per slot is cheaper (the
-# crossover in benchmarks/BENCH_canon.json)
-_SCAN_BATCH_MIN = 12
-
-
-def _slot_codes(graphs, n, index, slots):
-    # the canonical code of graphs[i] switched by the subset 2k, for each
-    # slot k and its graph's index i
-    if len(slots) < _SCAN_BATCH_MIN:
-        return [run_canon(tuple(_switch_rows(graphs[i], k << 1)), n)[0] for i, k in zip(index, slots)]
-    # side[v, j]: whether v is in the subset of slot j; a switch toggles
-    # exactly the pairs whose ends lie on different sides
-    side = ((np.array(slots) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
-    # one graph's stack broadcasts against its slots without a gather
-    adj = _adjacency(graphs, n)
-    if len(graphs) > 1:
-        adj = adj[:, :, index]
-    return _search_codes(adj ^ (side[:, None] != side), n)
-
-
 def _codes(graphs, n):
-    # the canonical code of each row tuple of order n, in input order: the
-    # distinct tuples go one search each through run_canon below
-    # _SCAN_BATCH_MIN of them, and as one batch from there up
+    # the canonical code of each row tuple of order n, in input order, each
+    # distinct tuple searched once
     distinct = list(dict.fromkeys(graphs))
-    if len(distinct) < _SCAN_BATCH_MIN:
-        found = [run_canon(rows, n)[0] for rows in distinct]
-    else:
-        found = _search_codes(_adjacency(distinct, n), n)
-    code = dict(zip(distinct, found))
+    code = dict(zip(distinct, _search_codes(_adjacency(distinct, n), n)))
     return [code[rows] for rows in graphs]
 
 
@@ -435,38 +421,43 @@ def _switch_orbit_scans(graphs, n, codes, gens):
     codes[i] and gens[i] are graphs[i]'s own canonical code and
     automorphism generators.  Each graph's slots are reduced under its
     own generators, and the roots of all the graphs are searched
-    together: as one batch once there are _SCAN_BATCH_MIN of them, so n
-    stops at _CODES_MAX_ORDER.
+    together in one _search_codes call, so n stops at _CODES_MAX_ORDER.
     """
     full = (1 << n) - 1
     half = 1 << (n - 1)
-    orbits = []  # per graph, the root of each slot, or None when every slot is one
+    # per graph, the union-find parent of each slot.  _union hangs the
+    # larger root under the smaller, so a parent is a slot of the same
+    # class that is never larger, and equal only at the class's least slot.
+    orbits = []
     index, slots = [], []
     for i, generators in enumerate(gens):
-        root = None
-        if generators:
-            parent = list(range(half))
-            for g in generators:
-                image = [0] * half  # image[k]: the mask g(2k)
-                for k in range(1, half):
-                    low = k & -k
-                    image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
-                    _union(parent, k, (m ^ full if m & 1 else m) >> 1)
-            root = [_find(parent, k) for k in range(half)]
-        orbits.append(root)
-        roots = range(1, half) if root is None else [k for k in range(1, half) if root[k] == k]
+        parent = list(range(half))
+        for g in generators:
+            image = [0] * half  # image[k]: the mask g(2k)
+            for k in range(1, half):
+                low = k & -k
+                image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
+                _union(parent, k, (m ^ full if m & 1 else m) >> 1)
+        orbits.append(parent)
+        roots = [k for k in range(1, half) if parent[k] == k]
         index += [i] * len(roots)
         slots += roots
-    # the roots' codes, in graph then slot order, which is the order the copy reads them
-    searched = iter(_slot_codes(graphs, n, index, slots))
+    # side[v, j]: whether v is in the subset 2k of root slot j; a switch
+    # toggles exactly the pairs whose ends lie on different sides.  An
+    # order-1 graph has no slots, and the empty array needs an int dtype.
+    side = ((np.array(slots, dtype=np.int64) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
+    # one graph's stack broadcasts against its slots without a gather
+    adj = _adjacency(graphs, n)
+    if len(graphs) > 1:
+        adj = adj[:, :, index]
+    # the roots' codes, in graph then slot order, which is the order the
+    # copy reads them; every other slot copies its parent's code
+    searched = iter(_search_codes(adj ^ (side[:, None] != side), n))
     scans = []
-    for code, root in zip(codes, orbits):
+    for code, parent in zip(codes, orbits):
         scan = [code]
-        if root is None:
-            scan += islice(searched, half - 1)
-        else:
-            for k in range(1, half):
-                scan.append(next(searched) if root[k] == k else scan[root[k]])
+        for k in range(1, half):
+            scan.append(next(searched) if parent[k] == k else scan[parent[k]])
         scans.append(tuple(scan))
     return scans
 

@@ -26,7 +26,8 @@ SWITCH_SCAN_MAX_ORDER = 10
 # cold (benchmarks/BENCH_sweeps.json); order 9 holds 274,668 and took 35 s
 # and 297 MB
 GENERATION_MAX_ORDER = 8
-# every order that generation reaches is searched as numpy batches
+# generation searches each order's children through _kernels._search_codes,
+# whose batches stop at _CODES_MAX_ORDER
 assert GENERATION_MAX_ORDER <= _kernels._CODES_MAX_ORDER
 
 
@@ -193,8 +194,9 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
 
     Grown by vertex augmentation from order 1, which stays cheap well
     past the range where scanning all labeled graphs is an option.  Each
-    order's children are searched as numpy batches, and the first child
-    of each form, in parent then mask order, represents it.
+    order's children are searched together, as numpy batches from order
+    4 up, and the first child of each form, in parent then mask order,
+    represents it.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -212,7 +214,7 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
 
 def _child_codes(graphs: list[Graph], k: int) -> list[int]:
     # the canonical code of each child of each graph of order k - 1, in
-    # parent then mask order, searched as numpy batches
+    # parent then mask order, searched together by _kernels._search_codes
     nmask = 1 << (k - 1)
     # bits[i, m]: whether mask m joins the new vertex k - 1 to i
     bits = ((np.arange(nmask) >> np.arange(k - 1)[:, None]) & 1).astype(bool)

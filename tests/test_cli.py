@@ -216,6 +216,26 @@ def test_verify_all_pinned(tmp_path, max_order, findings, stdout_sha, jsonl_sha,
     assert hashlib.sha256(f"{body}\n{jsonl}{last}\n".encode()).hexdigest() == whole_sha
 
 
+@pytest.mark.parametrize("order, classes, jsonl_sha", [
+    (1, 1, "2a8cab59ec2be184d801d9cfab3db1e9219f5f9751da79c97b1ca41e12359131"),
+    (2, 1, "276eafe1bf944e221d224a7dfbe067d5e578fef4835abf3b9256edc28aa569f1"),
+    (3, 2, "28949d4b5eae73f085440d0d3a810e2c07b8d1cbf163d47a9bdc420cd7383046"),
+    (4, 3, "f5baa2177234f29c3ee451e590f51afef5f39f0b28f70b37bfa5eb30dd369a50"),
+    (5, 7, "01887f5d4fa38e6bb18c7fb93b9860bd1cd6a6f8a253cf00571c03b1fb78f255"),
+    (6, 16, "d5268aa4a6be05852517b04ceec50d50507ea7b93556f93d70adc692544724dc"),
+    (7, 54, "b9461b4ee76b48f9dadef8b025570a760e11285db4fca22e8befbaba38bd0612"),
+], ids=[str(n) for n in range(1, 8)])
+def test_census_pinned(tmp_path, order, classes, jsonl_sha):
+    # the census records, byte for byte, and the summary line
+    target = tmp_path / "census.jsonl"
+    code, out, _ = run_cli(["census", "--order", str(order), "--out", str(target)])
+    jsonl = target.read_text()
+    assert code == 0
+    assert out == f"order {order}: {classes} classes\n"
+    assert len(jsonl.splitlines()) == classes
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == jsonl_sha
+
+
 def test_verify_unknown_suite():
     code, _, err = run_cli(["verify", "--suite", "nonesuch", "--max-order", "3"])
     assert code == 2

@@ -40,8 +40,8 @@ def test_switch_orbit_scan_matches_switch_set(monkeypatch):
     graphs = _scan_graphs()
     # scans on both sides of the slot threshold: batched and one search per slot
     batched = []
-    search_codes = _kernels._search_codes
-    monkeypatch.setattr(_kernels, "_search_codes", lambda adj, n: batched.append(n) or search_codes(adj, n))
+    canon_codes = _kernels._canon_codes
+    monkeypatch.setattr(_kernels, "_canon_codes", lambda adj, n: batched.append(n) or canon_codes(adj, n))
     for g in graphs:
         n = g.n
         code, _, _, _, gens = run_canon(g.adj, n)
@@ -54,6 +54,9 @@ def test_switch_orbit_scan_matches_switch_set(monkeypatch):
             assert _form(n, codes[k]) == canonical_form(h)
     assert 0 < len(batched) < len(graphs)
     assert {8, 9, 10} <= set(batched)
+    # K1 has no slots: its scan is its own code
+    code = run_canon((0,), 1)[0]
+    assert switch_orbit_scan((0,), 1, code, ()) == (code,)
 
 
 def _one_graph_scan(g):
@@ -71,6 +74,8 @@ def test_many_graph_scans_match_one_graph_scans():
     for graphs in groups + list(by_order.values()):
         assert _switch_orbit_scans(graphs) == [_one_graph_scan(g) for g in graphs]
     assert _switch_orbit_scans([]) == []
+    # order-1 graphs have no slots, so their stack gathers none
+    assert _switch_orbit_scans([Graph(1, (0,))] * 3) == [(run_canon((0,), 1)[0],)] * 3
 
 
 def test_many_graph_scans_refuse_mixed_and_large_orders():
@@ -162,16 +167,18 @@ def test_codes_match_the_single_search(monkeypatch):
     wide = [empty(8).adj, complete_bipartite(4, 4).adj]
     assert _kernels._canon_codes(_kernels._adjacency(wide, 8), 8).tolist() == [-1, -1]
     batched = []
-    search_codes = _kernels._search_codes
-    monkeypatch.setattr(_kernels, "_search_codes", lambda adj, n: batched.append(adj.shape[2]) or search_codes(adj, n))
+    canon_codes = _kernels._canon_codes
+    monkeypatch.setattr(_kernels, "_canon_codes", lambda adj, n: batched.append(adj.shape[2]) or canon_codes(adj, n))
     for distinct in (_kernels._SCAN_BATCH_MIN - 1, _kernels._SCAN_BATCH_MIN, 40):
         graphs = wide + [_random_graph(rng, 8).adj for _ in range(distinct - 2)]
         graphs += graphs[::3]
         run_canon.cache_clear()
         assert _kernels._codes(graphs, 8) == [_kernels._canon(rows, 8)[0] for rows in graphs]
         assert run_canon.cache_info().currsize == (2 if distinct >= _kernels._SCAN_BATCH_MIN else distinct)
-    assert batched == [_kernels._SCAN_BATCH_MIN, 40]
+    # an empty input, as a list or as a stack, runs no batch
     assert _kernels._codes([], 8) == []
+    assert _kernels._search_codes(np.zeros((8, 8, 0), dtype=bool), 8) == []
+    assert batched == [_kernels._SCAN_BATCH_MIN, 40]
 
 
 def test_two_cell_witness_needs_both_children():
