@@ -502,8 +502,9 @@ def two_graph_orbits(graphs, n):
     """Each graph's two-graph under all n! relabelings: (minimum image, orbit size).
 
     Two graphs get the same minimum image exactly when their two-graphs
-    are isomorphic; the orbit size counts the labeled two-graphs
-    isomorphic to theirs.  Both come back as int64 arrays.
+    are isomorphic.  The orbit size, the number of labeled two-graphs
+    isomorphic to theirs, is n! over the stabilizer: the relabelings whose
+    image equals the first, the identity's.  Both come back as int64 arrays.
     """
     tri = _triples(n)
     odd = ((two_graphs(graphs, n)[:, None] >> np.arange(len(tri))) & 1).astype(bool)
@@ -516,7 +517,7 @@ def two_graph_orbits(graphs, n):
     sizes = np.empty(len(odd), dtype=np.int64)
     for i, row in enumerate(odd):
         images = bit[:, row].sum(axis=1)
-        keys[i], sizes[i] = images.min(), len(np.unique(images))
+        keys[i], sizes[i] = images.min(), len(images) // np.count_nonzero(images == images[0])
     return keys, sizes
 
 

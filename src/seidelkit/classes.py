@@ -4,11 +4,11 @@ Two labeled graphs are switching-equivalent when some subset switch
 carries one to the other; folding in isomorphism gives the classes
 counted here.  switching_class lists one graph's class with one
 switch-orbit scan.  The census walks the isomorphism-class
-representatives with one such scan per class; a second route groups
-the same representatives by their two-graphs, without any canonical
-search, so the labeled counts cross-check each other.  That a graph
-and its complement span classes of equal size is checked in verify's
-classes suite, which reads the class sizes from the census.
+representatives with one such scan per class, which also gives the
+class's labeled count; a second route groups the same representatives by
+their two-graphs and counts stabilizers, with no canonical search.  That
+a graph and its complement span classes of equal size is checked in
+verify's classes suite, which reads the class sizes from the census.
 """
 
 from __future__ import annotations
@@ -104,10 +104,11 @@ def census(n: int) -> list[CensusRecord]:
     order, their forms from one batched search.  The first one no class
     covers yet is the minimum of a new class; one switch-orbit scan of
     its canonical graph lists the class's members, one code per
-    even-mask switch.  A member whose
-    code appears c times there has an identity-switch family of 2c
-    subsets (each even mask stands for itself and its complement), and
-    it adds n!/|Aut| labeled graphs.  Records come back sorted by
+    even-mask switch.  A member whose code appears c times there has an
+    identity-switch family of 2c subsets (each even mask stands for
+    itself and its complement).  So the class's two-graph T has
+    |Aut(T)| = c |Aut(rep)| for the representative's c, and the class
+    holds 2^(n-1) n!/|Aut(T)| labeled graphs.  Records come back sorted by
     representative form; class_id is the index in that order.  The
     representative is asserted to re-canonicalize, and the Seidel
     polynomial to be constant across each class.
@@ -133,18 +134,16 @@ def _census(n: int) -> tuple[list[CensusRecord], dict[CanonicalForm, int]]:
             raise AssertionError("class representative failed to re-canonicalize as its minimum")
         members = _forms(n, sorted(counts))
         table.update(dict.fromkeys(members, len(records)))
-        graphs = [canonical_graph(m) for m in members]
-        poly, *polys = seidel_char_polys([rep, *graphs])
+        poly, *polys = seidel_char_polys([canonical_graph(m) for m in members])
         if any(p != poly for p in polys):
             raise AssertionError("Seidel polynomial differs inside a switching class")
-        labeled = sum(fact // automorphism_count(m) for m in graphs)
         records.append(
             CensusRecord(
                 order=n,
                 class_id=len(records),
                 rep_g6=to_graph6(rep),
                 iso_class_count=len(members),
-                labeled_count=labeled,
+                labeled_count=(fact << (n - 1)) // (automorphism_count(rep) * counts[codes[0]]),
                 seidel_poly=poly,
                 iss_min=2 * min(counts.values()),
                 iss_max=2 * max(counts.values()),

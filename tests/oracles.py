@@ -90,9 +90,9 @@ def iss_counts(graphs, n: int) -> list[int]:
     The identity switches modulo complement match the cosets of Aut(G)
     in Aut(T), T the two-graph of G.  By orbit-stabilizer on labeled
     graphs and labeled two-graphs, |ISS(G)| = 2 |S_n G| / |S_n T|: |S_n T|
-    is the orbit size that _kernels.two_graph_orbits counts over all n!
-    relabelings, and |S_n G| the number of distinct upper-triangle codes
-    among G's n! relabelings.
+    is the orbit size that _kernels.two_graph_orbits returns, n! over the
+    number of relabelings that fix T, and |S_n G| the number of distinct
+    upper-triangle codes among G's n! relabelings.
     """
     perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
     p, q = np.array([(i, j) for j in range(n) for i in range(j)], dtype=np.int64).reshape(-1, 2).T

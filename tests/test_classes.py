@@ -1,11 +1,21 @@
 import json
+import math
 import random
 import time
 from collections import Counter
 
 import pytest
 
-from seidelkit import VertexSet, _kernels, complement, from_graph6, make_graph, switch_set
+from seidelkit import (
+    VertexSet,
+    _kernels,
+    classes,
+    complement,
+    from_graph6,
+    make_graph,
+    switch_set,
+    to_graph6,
+)
 from seidelkit.classes import (
     CENSUS_MAX_ORDER,
     _census,
@@ -20,6 +30,7 @@ from seidelkit.iso import (
     SWITCH_SCAN_MAX_ORDER,
     _forms,
     _switch_orbit_codes,
+    automorphism_count,
     canonical_form,
     canonical_graph,
     nonisomorphic_graphs,
@@ -153,6 +164,26 @@ def test_census_dual_routes_agree():
         for r in recs:
             key = canonical_form(from_graph6(r.rep_g6))
             assert comp[key] == r.labeled_count
+
+
+def test_census_labeled_counts_match_the_per_member_sum(monkeypatch):
+    # reference: each member m adds n!/|Aut(m)| labeled graphs; the census
+    # reads |Aut(T)| off its scan and searches |Aut| of its representatives only
+    seen = []
+
+    def spy(g):
+        seen.append(to_graph6(g))
+        return automorphism_count(g)
+
+    monkeypatch.setattr(classes, "automorphism_count", spy)
+    for n in range(1, CENSUS_MAX_ORDER + 1):
+        seen.clear()
+        recs, table = _census(n)
+        assert seen == [r.rep_g6 for r in recs]
+        sums = Counter()
+        for cf, class_id in table.items():
+            sums[class_id] += math.factorial(n) // automorphism_count(canonical_graph(cf))
+        assert [r.labeled_count for r in recs] == [sums[r.class_id] for r in recs]
 
 
 def test_census_record_values_order_four():

@@ -381,6 +381,20 @@ def test_two_graph_bits_are_odd_triples():
         assert int(two_graphs([g.adj], n)[0]) == want
 
 
+def test_two_graph_orbit_sizes_count_the_distinct_relabeled_two_graphs():
+    # every representative of orders 1-6 and 16 seeded ones of order 7
+    rng = random.Random(25)
+    for n in range(1, 8):
+        reps = nonisomorphic_graphs(n)
+        if n == 7:
+            reps = rng.sample(reps, 16)
+        sizes = _kernels.two_graph_orbits([g.adj for g in reps], n)[1]
+        perms = list(itertools.permutations(range(n)))
+        for g, size in zip(reps, sizes.tolist()):
+            images = two_graphs([relabel(g, p).adj for p in perms], n)
+            assert size == len(set(images.tolist())), (to_graph6(g), size)
+
+
 def _loop_algebra_sweep(n, pattern):
     # the sweep as one loop per graph and subset, in witness order: a
     # subset switch XORs rows with pattern; the single-vertex switch and
