@@ -5,10 +5,9 @@ carries one to the other; folding in isomorphism gives the classes
 counted here.  switching_class lists one graph's class with one
 switch-orbit scan.  The census walks the isomorphism-class
 representatives with one such scan per class, which also gives the
-class's labeled count; a second route groups the same representatives by
-their two-graphs and counts stabilizers, with no canonical search.  That
-a graph and its complement span classes of equal size is checked in
-verify's classes suite, which reads the class sizes from the census.
+class's labeled count.  Verify's classes suite checks those counts by the
+two-graph stabilizers of the class representatives, with no canonical
+search, and that a graph and its complement span classes of equal size.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import _kernels
 from .graph6 import to_graph6
@@ -32,7 +29,6 @@ from .iso import (
     _forms,
     _switch_orbit_codes,
     automorphism_count,
-    canonical_form,
     canonical_graph,
     nonisomorphic_graphs,
 )
@@ -151,25 +147,3 @@ def _census(n: int) -> tuple[list[CensusRecord], dict[CanonicalForm, int]]:
         )
     return records, table
 
-
-def census_labeled_components(n: int) -> dict[CanonicalForm, int]:
-    """Labeled census by a second route, with no canonical search.
-
-    Two labeled graphs share their two-graph, the set of triples with
-    an odd number of edges (Seidel, "A survey of two-graphs", 1976),
-    exactly when one is a switch of the other.  So representatives lie
-    in one switching class when their two-graphs are isomorphic, and the
-    class holds 2^(n-1) labeled graphs per labeled two-graph in their
-    orbit.  The orbits must cover all 2^(C(n,2)-n+1) labeled two-graphs,
-    which is enforced here.  Returns labeled counts keyed by the class's
-    minimum canonical form.
-    """
-    _check_census_order(n)
-    reps = nonisomorphic_graphs(n)
-    keys, sizes = _kernels.two_graph_orbits([g.adj for g in reps], n)
-    # reps are sorted by canonical form, so each key's first rep is its class minimum
-    first = np.unique(keys, return_index=True)[1]
-    total = int(sizes[first].sum())
-    if total != 1 << (n * (n - 1) // 2 - n + 1):
-        raise AssertionError(f"two-graph orbits cover {total} labeled two-graphs")
-    return {canonical_form(reps[i]): int(sizes[i]) << (n - 1) for i in first}

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .classes import CENSUS_MAX_ORDER, _census, census_labeled_components
+from .classes import CENSUS_MAX_ORDER, _census
 from .generators import (
     complete,
     complete_bipartite,
@@ -384,8 +384,13 @@ def suite_classes(max_order: int) -> SuiteResult:
                   f"census does not cover the isomorphism classes at order {n}")
         res.check(sum(r.labeled_count for r in recs) == 1 << (n * (n - 1) // 2),
                   f"census labeled counts wrong at order {n}")
-        mine = {canonical_form(from_graph6(r.rep_g6)): r.labeled_count for r in recs}
-        res.check(mine == census_labeled_components(n), f"dual census routes disagree at order {n}")
+        # two graphs share a class exactly when their two-graphs are isomorphic:
+        # distinct classes, each count from its orbit, every two-graph covered
+        keys, sizes = _kernels.two_graph_orbits([from_graph6(r.rep_g6).adj for r in recs], n)
+        res.check(len(set(keys.tolist())) == len(recs)
+                  and [r.labeled_count for r in recs] == [s << (n - 1) for s in sizes.tolist()]
+                  and sum(sizes.tolist()) == 1 << (n * (n - 1) // 2 - n + 1),
+                  f"dual census routes disagree at order {n}")
         res.lines.append(
             f"order {n}: {len(recs)} switching classes over {iso_total} isomorphism classes; "
             f"labeled counts cross-checked by vertex-switch components"

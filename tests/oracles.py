@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from seidelkit import Graph, _kernels, relabel, seidel_matrix
+from seidelkit import Graph, _kernels, canonical_form, nonisomorphic_graphs, relabel, seidel_matrix
 
 
 def brute_canonical_code(g: Graph) -> int:
@@ -106,6 +106,27 @@ def iss_counts(graphs, n: int) -> list[int]:
         assert rest == 0, (g.adj, labeled, size)
         counts.append(count)
     return counts
+
+
+def labeled_components(n: int) -> dict:
+    """Labeled census by grouping every representative by its two-graph.
+
+    Two labeled graphs share their two-graph, the set of triples with
+    an odd number of edges (Seidel, "A survey of two-graphs", 1976),
+    exactly when one is a switch of the other.  So representatives lie
+    in one switching class when their two-graphs are isomorphic, and the
+    class holds 2^(n-1) labeled graphs per labeled two-graph in their
+    orbit.  The orbits must cover all 2^(C(n,2)-n+1) labeled two-graphs,
+    which is asserted here.  Returns labeled counts keyed by the class's
+    minimum canonical form.
+    """
+    reps = nonisomorphic_graphs(n)
+    keys, sizes = _kernels.two_graph_orbits([g.adj for g in reps], n)
+    # reps are sorted by canonical form, so each key's first rep is its class minimum
+    first = np.unique(keys, return_index=True)[1]
+    total = int(sizes[first].sum())
+    assert total == 1 << (n * (n - 1) // 2 - n + 1), f"two-graph orbits cover {total} labeled two-graphs"
+    return {canonical_form(reps[i]): int(sizes[i]) << (n - 1) for i in first}
 
 
 def sympy_seidel_poly(g: Graph) -> tuple[int, ...]:

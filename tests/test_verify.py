@@ -139,6 +139,36 @@ def test_classes_suite_reports_a_planted_class_size(monkeypatch):
     ]
 
 
+def test_classes_suite_checks_the_census_counts_by_two_graph_orbits(monkeypatch):
+    # two order-5 plants: counts swapped between two classes keep the total;
+    # a class listed twice, with the other's count, breaks the total too
+    real = verify._census
+
+    def swapped(n):
+        recs, table = real(n)
+        if n == 5:
+            recs = list(recs)
+            recs[1], recs[2] = (replace(recs[1], labeled_count=recs[2].labeled_count),
+                                replace(recs[2], labeled_count=recs[1].labeled_count))
+        return recs, table
+
+    def copied(n):
+        recs, table = real(n)
+        if n == 5:
+            recs = list(recs)
+            recs[2] = replace(recs[2], rep_g6=recs[1].rep_g6, labeled_count=recs[1].labeled_count)
+        return recs, table
+
+    for plant, violations in (
+        (swapped, ["dual census routes disagree at order 5"]),
+        (copied, ["census labeled counts wrong at order 5", "dual census routes disagree at order 5"]),
+    ):
+        monkeypatch.setattr(verify, "_census", plant)
+        res = verify.suite_classes(6)
+        assert res.checks == 230
+        assert res.violations == violations
+
+
 def test_invariants_suite_reports_moved_polynomials(monkeypatch):
     # at order 3 one switched and the relabeled polynomial move; at order
     # 4 every polynomial of one graph gains a trace coefficient.  Each
