@@ -18,7 +18,7 @@ pair:
   its order-7 layer repeats the order-6 work;
 - one `run_suites("all", 6)`, the whole of `verify --suite all`, which
   may fork worker processes, started with the same caches and the
-  `nonisomorphic_graphs` cache cleared;
+  generation caches cleared (`bench_canon.clear_generation`);
 - the exact Seidel polynomial per graph of POLY_GRAPHS seeded random
   graphs at orders 6, 8, 12, 13 and 16, both batched and as a batch of
   one.
@@ -56,7 +56,7 @@ import statistics
 import subprocess
 import sys
 
-from bench_canon import SEED, _quartiles, append, pairs
+from bench_canon import SEED, _quartiles, append, clear_generation, pairs
 
 # order -> number of seeded random graphs timed at that order
 POLY_GRAPHS = {6: 256, 8: 256, 12: 64, 13: 32, 16: 16}
@@ -109,7 +109,7 @@ def _layers(sk):
         layers[f"suite_{name}_7_s"] = (1.0, 1, suite(name, 7))
 
     def verify_all():
-        iso.nonisomorphic_graphs.cache_clear()
+        clear_generation(iso)
         return [(r.suite, r.lines, r.checks, r.violations, r.findings)
                 for r in verify.run_suites("all", 6)]
 

@@ -3,11 +3,12 @@
 Two labeled graphs are switching-equivalent when some subset switch
 carries one to the other; folding in isomorphism gives the classes
 counted here.  switching_class lists one graph's class with one
-switch-orbit scan.  The census walks the isomorphism-class
-representatives with one such scan per class, which also gives the
+switch-orbit scan.  The census walks the canonical codes that
+generation found, with one such scan per class, which also gives the
 class's labeled count.  Verify's classes suite checks those counts by the
-two-graph stabilizers of the class representatives, with no canonical
-search, and that a graph and its complement span classes of equal size.
+two-graph stabilizers of the class representatives, and compares the
+class sizes of a graph and its complement by their two-graph keys, all
+with no canonical search.
 """
 
 from __future__ import annotations
@@ -18,22 +19,24 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from . import _kernels
 from .graph6 import to_graph6
 from .graphs import Graph, _check_bound
 from .invariants import seidel_char_polys
 from .iso import (
+    GENERATION_MAX_ORDER,
     CanonicalForm,
     _code,
     _form,
     _forms,
+    _generated,
     _switch_orbit_codes,
     automorphism_count,
     canonical_graph,
-    nonisomorphic_graphs,
 )
 
 CENSUS_MAX_ORDER = 7
+# the census reads generation's cache directly, past nonisomorphic_graphs' order check
+assert CENSUS_MAX_ORDER <= GENERATION_MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -96,41 +99,33 @@ def _check_census_order(n: int) -> None:
 def census(n: int) -> list[CensusRecord]:
     """All switching classes of order n.
 
-    Route: walk the isomorphism-class representatives in canonical-form
-    order, their forms from one batched search.  The first one no class
-    covers yet is the minimum of a new class; one switch-orbit scan of
-    its canonical graph lists the class's members, one code per
-    even-mask switch.  A member whose code appears c times there has an
-    identity-switch family of 2c subsets (each even mask stands for
-    itself and its complement).  So the class's two-graph T has
-    |Aut(T)| = c |Aut(rep)| for the representative's c, and the class
-    holds 2^(n-1) n!/|Aut(T)| labeled graphs.  Records come back sorted by
-    representative form; class_id is the index in that order.  The
-    representative is asserted to re-canonicalize, and the Seidel
-    polynomial to be constant across each class.
+    Route: walk the canonical codes that generation found for order n,
+    in ascending order.  The first one no class covers yet is the
+    minimum of a new class; one switch-orbit scan of its canonical
+    graph lists the class's members, one code per even-mask switch.  A
+    member whose code appears c times there has an identity-switch
+    family of 2c subsets (each even mask stands for itself and its
+    complement).  So the class's two-graph T has |Aut(T)| = c |Aut(rep)|
+    for the representative's c, and the class holds 2^(n-1) n!/|Aut(T)|
+    labeled graphs.  Records come back sorted by representative form;
+    class_id is the index in that order.  The representative is asserted
+    to re-canonicalize, and the Seidel polynomial to be constant across
+    each class.
     """
-    return _census(n)[0]
-
-
-def _census(n: int) -> tuple[list[CensusRecord], dict[CanonicalForm, int]]:
-    """census(n), plus the table from every member's form to its class_id."""
     _check_census_order(n)
     fact = math.factorial(n)
-    table: dict[CanonicalForm, int] = {}
+    covered: set[int] = set()
     records = []
-    reps = nonisomorphic_graphs(n)
-    # every representative's form, from one batched search
-    for cf in _forms(n, _kernels._codes([g.adj for g in reps], n)):
-        if cf in table:
+    for code in sorted(_generated(n)):
+        if code in covered:
             continue
-        rep = canonical_graph(cf)
+        rep = canonical_graph(_form(n, code))
         codes = _switch_orbit_codes(rep)
         counts = Counter(codes)
-        if _form(n, codes[0]) != cf or min(counts) != codes[0]:
+        if codes[0] != code or min(counts) != code:
             raise AssertionError("class representative failed to re-canonicalize as its minimum")
-        members = _forms(n, sorted(counts))
-        table.update(dict.fromkeys(members, len(records)))
-        poly, *polys = seidel_char_polys([canonical_graph(m) for m in members])
+        covered.update(counts)
+        poly, *polys = seidel_char_polys([canonical_graph(m) for m in _forms(n, sorted(counts))])
         if any(p != poly for p in polys):
             raise AssertionError("Seidel polynomial differs inside a switching class")
         records.append(
@@ -138,12 +133,11 @@ def _census(n: int) -> tuple[list[CensusRecord], dict[CanonicalForm, int]]:
                 order=n,
                 class_id=len(records),
                 rep_g6=to_graph6(rep),
-                iso_class_count=len(members),
-                labeled_count=(fact << (n - 1)) // (automorphism_count(rep) * counts[codes[0]]),
+                iso_class_count=len(counts),
+                labeled_count=(fact << (n - 1)) // (automorphism_count(rep) * counts[code]),
                 seidel_poly=poly,
                 iss_min=2 * min(counts.values()),
                 iss_max=2 * max(counts.values()),
             )
         )
-    return records, table
-
+    return records

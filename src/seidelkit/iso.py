@@ -188,7 +188,6 @@ def all_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_code(n, code)
 
 
-@lru_cache(maxsize=16)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class, sorted by canonical form.
 
@@ -196,20 +195,27 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     past the range where scanning all labeled graphs is an option.  Each
     order's children are searched together, as numpy batches from order
     4 up, and the first child of each form, in parent then mask order,
-    represents it.
+    represents it.  Each order is grown once per process, from the
+    order below it in the order its forms were first found.
     """
     if n < 1:
         raise ValueError("order must be positive")
     _check_bound(n, GENERATION_MAX_ORDER)
-    reps = {0: Graph(1, (0,))}
-    for k in range(2, n + 1):
-        graphs = list(reps.values())
-        nmask = 1 << (k - 1)
-        first = {}
-        for i, code in enumerate(_child_codes(graphs, k)):
-            first.setdefault(code, i)
-        reps = {code: _child(graphs[i >> (k - 1)], i & (nmask - 1)) for code, i in first.items()}
+    reps = _generated(n)
     return tuple(reps[code] for code in sorted(reps))
+
+
+# the only generation cache, one entry per order; callers check the order and never mutate the dict
+@lru_cache(maxsize=GENERATION_MAX_ORDER)
+def _generated(n: int) -> dict[int, Graph]:
+    """Canonical code -> representative of order n, in the order each code was first found."""
+    if n == 1:
+        return {0: Graph(1, (0,))}
+    graphs = list(_generated(n - 1).values())
+    first = {}
+    for i, code in enumerate(_child_codes(graphs, n)):
+        first.setdefault(code, i)
+    return {code: _child(graphs[i >> (n - 1)], i % (1 << (n - 1))) for code, i in first.items()}
 
 
 def _child_codes(graphs: list[Graph], k: int) -> list[int]:

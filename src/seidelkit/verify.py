@@ -13,15 +13,16 @@ The sweeps decide by order.  A verdict that needs only canonical codes
 takes them from one batched search per order (_kernels._codes, after
 is_isomorphic's degree guard where two graphs are compared): the edge
 suite's direct, g - xy and flipped-core verdicts (iss._edge_reports),
-the iso suite's same-orbit switch pairs, the classes suite's
-complement and self-complement tests and the census's representative
-forms; the invariants suite evaluates each order's switches and
-relabelings in one blocked polynomial recursion.  The oracles that
-check the batch stay on the single search: the iso suite's
-relabelings, the iss suite's spot check and singleton verdicts (its
-families come from the batched switch-orbit scan), automorphism
-counts, orbits and generators, the search of Aut(core) in
-condition_ii and the constructions.
+the iso suite's same-orbit switch pairs and the classes suite's
+self-complement test.  The invariants suite evaluates each order's
+switches and relabelings in one blocked polynomial recursion, and the
+classes suite names each graph's class by its two-graph key
+(_kernels.two_graph_orbits), with no search.  The oracles that check
+the batch stay on the single search: the iso suite's relabelings, the
+iss suite's spot check and singleton verdicts (its families come from
+the batched switch-orbit scan), automorphism counts, orbits and
+generators, the search of Aut(core) in condition_ii and the
+constructions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .classes import CENSUS_MAX_ORDER, _census
+from .classes import census
 from .generators import (
     complete,
     complete_bipartite,
@@ -56,7 +57,6 @@ from .graph6 import from_graph6, to_graph6
 from .graphs import VertexSet, _switch_rows, complement, relabel
 from .invariants import _char_polys, seidel_char_poly
 from .iso import (
-    _forms,
     _isomorphic_pairs,
     automorphism_count,
     canonical_form,
@@ -374,20 +374,19 @@ def suite_edge_iss(max_order: int) -> SuiteResult:
 
 def suite_classes(max_order: int) -> SuiteResult:
     res = SuiteResult("classes")
-    # order -> (class sizes by class_id, table from member form to class_id)
+    # order -> {two-graph key: census record}; two graphs share a class
+    # exactly when their two-graphs are isomorphic, that is, share a key
     by_order = {}
-    for n in range(1, min(max_order, CENSUS_MAX_ORDER) + 1):
-        recs, table = _census(n)
-        by_order[n] = [r.iso_class_count for r in recs], table
+    for n, reps in _reps_upto(max_order):
+        recs = census(n)
         iso_total = sum(r.iso_class_count for r in recs)
-        res.check(iso_total == len(nonisomorphic_graphs(n)),
-                  f"census does not cover the isomorphism classes at order {n}")
+        res.check(iso_total == len(reps), f"census does not cover the isomorphism classes at order {n}")
         res.check(sum(r.labeled_count for r in recs) == 1 << (n * (n - 1) // 2),
                   f"census labeled counts wrong at order {n}")
-        # two graphs share a class exactly when their two-graphs are isomorphic:
         # distinct classes, each count from its orbit, every two-graph covered
         keys, sizes = _kernels.two_graph_orbits([from_graph6(r.rep_g6).adj for r in recs], n)
-        res.check(len(set(keys.tolist())) == len(recs)
+        by_order[n] = dict(zip(keys.tolist(), recs))
+        res.check(len(by_order[n]) == len(recs)
                   and [r.labeled_count for r in recs] == [s << (n - 1) for s in sizes.tolist()]
                   and sum(sizes.tolist()) == 1 << (n * (n - 1) // 2 - n + 1),
                   f"dual census routes disagree at order {n}")
@@ -395,15 +394,16 @@ def suite_classes(max_order: int) -> SuiteResult:
             f"order {n}: {len(recs)} switching classes over {iso_total} isomorphism classes; "
             f"labeled counts cross-checked by vertex-switch components"
         )
-    # complement classes have equal size, read from the census records; the
-    # forms of each order's graphs and complements come from one batch
+    # complement classes have equal size: each order's graphs and complements
+    # are named by their keys from one call, and a key with no record fails
     pairs = 0
     for n, reps in _reps_upto(min(max_order, 6)):
-        sizes, table = by_order[n]
-        forms = _forms(n, _kernels._codes([rows for g in reps for rows in (g.adj, complement(g).adj)], n))
-        for g, cf, co in zip(reps, forms[::2], forms[1::2]):
+        keys, _ = _kernels.two_graph_orbits([rows for g in reps for rows in (g.adj, complement(g).adj)], n)
+        for g, key, co in zip(reps, keys[::2].tolist(), keys[1::2].tolist()):
             pairs += 1
-            res.check(sizes[table[cf]] == sizes[table[co]], f"complement class size differs: {to_graph6(g)}")
+            rec, rec_co = by_order[n].get(key), by_order[n].get(co)
+            res.check(rec is not None and rec_co is not None and rec.iso_class_count == rec_co.iso_class_count,
+                      f"complement class size differs: {to_graph6(g)}")
     res.lines.append(f"complement-class sizes agree for {pairs} graphs")
     # no self-complementary graph when the pair count is odd
     for n in (2, 3, 6, 7):
@@ -413,9 +413,8 @@ def suite_classes(max_order: int) -> SuiteResult:
                   f"unexpected self-complementary graph at order {n}")
         res.lines.append(f"order {n}: no self-complementary graph, classes pair up under complement")
     if max_order >= 4:
-        sizes, table = by_order[4]
-        got = {table[canonical_form(g)] for g in (path(4), cycle(4), complete(4))}
-        if res.check(len(sizes) == 3 and len(got) == 3,
+        keys, _ = _kernels.two_graph_orbits([g.adj for g in (path(4), cycle(4), complete(4))], 4)
+        if res.check(len(by_order[4]) == 3 and set(keys.tolist()) == set(by_order[4]),
                      "order-4 classes are not the three expected ones"):
             res.lines.append("order 4: the three classes carry the path, the 4-cycle, and the complete graph")
     _note_cap(res, max_order)

@@ -19,7 +19,6 @@ from seidelkit import (
 )
 from seidelkit.classes import (
     CENSUS_MAX_ORDER,
-    _census,
     census,
     switching_class,
 )
@@ -144,16 +143,35 @@ def test_census_labeled_counts_cover_everything():
         assert sum(r.iso_class_count for r in recs) == len(nonisomorphic_graphs(n))
 
 
-def test_census_table_maps_every_form_to_its_class():
+def test_census_places_every_form_in_one_class():
+    # each representative lands in exactly one record's switching class,
+    # each record holds iso_class_count of them, and its own rep_g6
     for n in range(1, CENSUS_MAX_ORDER + 1):
-        recs, table = _census(n)
-        assert recs == census(n)
-        assert set(table) == {canonical_form(g) for g in nonisomorphic_graphs(n)}
-        per_class = Counter(table.values())
-        assert set(per_class) == {r.class_id for r in recs}
+        recs = census(n)
+        where = {}
         for r in recs:
-            assert per_class[r.class_id] == r.iso_class_count
-            assert table[canonical_form(from_graph6(r.rep_g6))] == r.class_id
+            for cf in switching_class(from_graph6(r.rep_g6)).members:
+                where.setdefault(cf, []).append(r.class_id)
+        assert set(where) == {canonical_form(g) for g in nonisomorphic_graphs(n)}
+        assert all(len(ids) == 1 for ids in where.values())
+        per_class = Counter(ids[0] for ids in where.values())
+        assert [per_class[r.class_id] for r in recs] == [r.iso_class_count for r in recs]
+        assert [where[canonical_form(from_graph6(r.rep_g6))] for r in recs] == [[r.class_id] for r in recs]
+
+
+def test_census_searches_no_representative_again(monkeypatch):
+    # the census walks the codes generation found: no graph of order 7
+    # reaches the batched search
+    real = _kernels._codes
+    searched = []
+
+    def counting(rows, n):
+        searched.extend(rows)
+        return real(rows, n)
+
+    monkeypatch.setattr(_kernels, "_codes", counting)
+    assert len(census(7)) == CLASS_COUNTS[7]
+    assert searched == []
 
 
 def test_census_dual_routes_agree():
@@ -178,12 +196,11 @@ def test_census_labeled_counts_match_the_per_member_sum(monkeypatch):
     monkeypatch.setattr(classes, "automorphism_count", spy)
     for n in range(1, CENSUS_MAX_ORDER + 1):
         seen.clear()
-        recs, table = _census(n)
+        recs = census(n)
         assert seen == [r.rep_g6 for r in recs]
-        sums = Counter()
-        for cf, class_id in table.items():
-            sums[class_id] += math.factorial(n) // automorphism_count(canonical_graph(cf))
-        assert [r.labeled_count for r in recs] == [sums[r.class_id] for r in recs]
+        sums = [sum(math.factorial(n) // automorphism_count(canonical_graph(cf))
+                    for cf in switching_class(from_graph6(r.rep_g6)).members) for r in recs]
+        assert [r.labeled_count for r in recs] == sums
 
 
 def test_census_record_values_order_four():

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from seidelkit import VertexSet, make_graph, nonisomorphic_graphs, relabel, switch_set, to_graph6
-from seidelkit import _kernels
+from seidelkit import _kernels, iso
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import Graph, graph_from_code, graph_to_code
@@ -18,6 +18,7 @@ from seidelkit.iso import (
     _child,
     _child_codes,
     _form,
+    _generated,
     _switch_orbit_scans,
     automorphisms,
     canonical_form,
@@ -322,16 +323,19 @@ def test_batched_codes_refuse_orders_past_int64():
         _kernels._canon_codes(np.zeros((12, 12, 1), dtype=bool), 12)
 
 
+# sha256 of the graph6 lines of nonisomorphic_graphs(7), in order
+SEVEN_SHA256 = "ac31047432c34f574caacd5f1e482c15eff10004186157046867e4ec29545e80"
+
+
 @pytest.mark.parametrize("batch_max_order", [11, 5])
 def test_nonisomorphic_graphs_seven_pinned(batch_max_order):
     # the exact representatives, in order: the published witnesses are drawn
     # from them.  The oracle grows order 7 again, searching the children of
     # orders past batch_max_order one at a time instead of in batches, and
     # must reach the same digest.
-    want = "ac31047432c34f574caacd5f1e482c15eff10004186157046867e4ec29545e80"
-    nonisomorphic_graphs.cache_clear()
+    _generated.cache_clear()
     text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert hashlib.sha256(text.encode()).hexdigest() == SEVEN_SHA256
     reps = [Graph(1, (0,))]
     for k in range(2, 8):
         kids = [_child(g, m) for g in reps for m in range(1 << (k - 1))]
@@ -344,7 +348,30 @@ def test_nonisomorphic_graphs_seven_pinned(batch_max_order):
             first.setdefault(code, child)
         reps = list(first.values())
     text = "\n".join(to_graph6(first[code]) for code in sorted(first))
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert hashlib.sha256(text.encode()).hexdigest() == SEVEN_SHA256
+
+
+def test_generation_grows_each_order_once(monkeypatch):
+    # from a cleared cache, orders 1-5 and then 6 and 7 are each grown
+    # once, from the order below in first-found order: 11,290 children in
+    # all, none when orders 1-7 are asked for again, and the pinned order-7
+    # representatives
+    real = iso._child_codes
+    grown = []
+
+    def counting(graphs, k):
+        grown.append((k, len(graphs) << (k - 1)))
+        return real(graphs, k)
+
+    monkeypatch.setattr(iso, "_child_codes", counting)
+    _generated.cache_clear()
+    nonisomorphic_graphs(5)
+    text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == SEVEN_SHA256
+    for n in range(1, 8):
+        nonisomorphic_graphs(n)
+    assert [k for k, _ in grown] == list(range(2, 8))
+    assert sum(children for _, children in grown) == 11290
 
 
 def _labeled_two_graphs(n):

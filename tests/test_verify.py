@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from seidelkit import _kernels, complement, from_graph6, iss, to_graph6, verify
+from seidelkit import _kernels, complement, from_graph6, iso, iss, to_graph6, verify
 from seidelkit.classes import switching_class
 from seidelkit.generators import empty
 from seidelkit.iso import _switch_orbit_codes, canonical_form, nonisomorphic_graphs
@@ -110,25 +110,23 @@ def test_capped_sweeps_say_so(monkeypatch):
         assert note not in verify.run_suite(suite, max_order=4).lines
         lines = verify.run_suite(suite, max_order=5).lines
         assert lines[-1] == note
-        if suite != "classes":  # the census stops at CENSUS_MAX_ORDER instead
-            assert not any(line.startswith("order 5: ") for line in lines)
+        assert not any(line.startswith("order 5: ") for line in lines)
 
 
 def test_classes_suite_reports_a_planted_class_size(monkeypatch):
     # the census record of empty(6)'s class claims one member too many;
     # its complement class, that of K6, is a different class
     planted = canonical_form(empty(6))
-    real = verify._census
+    real = verify.census
 
     def faulty(n):
-        recs, table = real(n)
+        recs = real(n)
         if n == 6:
-            cid = table[planted]
-            recs = [replace(r, iso_class_count=r.iso_class_count + 1) if r.class_id == cid else r
-                    for r in recs]
-        return recs, table
+            recs = [replace(r, iso_class_count=r.iso_class_count + 1)
+                    if planted in switching_class(from_graph6(r.rep_g6)) else r for r in recs]
+        return recs
 
-    monkeypatch.setattr(verify, "_census", faulty)
+    monkeypatch.setattr(verify, "census", faulty)
     res = verify.suite_classes(6)
     bad = [g for g in nonisomorphic_graphs(6)
            if planted in switching_class(g) or planted in switching_class(complement(g))]
@@ -141,29 +139,34 @@ def test_classes_suite_reports_a_planted_class_size(monkeypatch):
 
 def test_classes_suite_checks_the_census_counts_by_two_graph_orbits(monkeypatch):
     # two order-5 plants: counts swapped between two classes keep the total;
-    # a class listed twice, with the other's count, breaks the total too
-    real = verify._census
+    # a class listed twice, with the other's count, breaks the total too.
+    # The copy leaves record 2's two-graph key with no record, so every graph
+    # in that class, or with its complement there, fails the complement
+    # check; record 1's key names the copy, whose class size is the same 6
+    real = verify.census
+    lost = switching_class(from_graph6(real(5)[2].rep_g6))
+    unnamed = [f"complement class size differs: {to_graph6(g)}" for g in nonisomorphic_graphs(5)
+               if canonical_form(g) in lost or canonical_form(complement(g)) in lost]
+    assert len(unnamed) == 12
 
     def swapped(n):
-        recs, table = real(n)
+        recs = real(n)
         if n == 5:
-            recs = list(recs)
             recs[1], recs[2] = (replace(recs[1], labeled_count=recs[2].labeled_count),
                                 replace(recs[2], labeled_count=recs[1].labeled_count))
-        return recs, table
+        return recs
 
     def copied(n):
-        recs, table = real(n)
+        recs = real(n)
         if n == 5:
-            recs = list(recs)
             recs[2] = replace(recs[2], rep_g6=recs[1].rep_g6, labeled_count=recs[1].labeled_count)
-        return recs, table
+        return recs
 
     for plant, violations in (
         (swapped, ["dual census routes disagree at order 5"]),
-        (copied, ["census labeled counts wrong at order 5", "dual census routes disagree at order 5"]),
+        (copied, ["census labeled counts wrong at order 5", "dual census routes disagree at order 5"] + unnamed),
     ):
-        monkeypatch.setattr(verify, "_census", plant)
+        monkeypatch.setattr(verify, "census", plant)
         res = verify.suite_classes(6)
         assert res.checks == 230
         assert res.violations == violations
@@ -231,7 +234,7 @@ def test_suites_search_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_canon", counting)
     _switch_orbit_codes.cache_clear()
-    nonisomorphic_graphs.cache_clear()
+    iso._generated.cache_clear()
     _kernels.run_canon.cache_clear()
     for suite in (verify.suite_iss, verify.suite_edge_iss, verify.suite_classes):
         assert suite(5).ok
@@ -275,7 +278,8 @@ def test_edge_suite_decides_each_edge_once(monkeypatch):
 
 def test_classes_suite_scans_each_class_once(monkeypatch):
     # the census scans each of the 1 + 1 + 2 + 3 + 7 + 16 classes of
-    # orders 1-6; the complement and order-4 checks read its table
+    # orders 1-6; the complement and order-4 checks name classes by
+    # their two-graph keys
     _switch_orbit_codes.cache_clear()
     _kernels.run_canon.cache_clear()
     real = _kernels.switch_orbit_scan
@@ -288,6 +292,24 @@ def test_classes_suite_scans_each_class_once(monkeypatch):
     monkeypatch.setattr(_kernels, "switch_orbit_scan", counting)
     assert verify.suite_classes(6).ok
     assert len(calls) == 30
+
+
+def test_classes_suite_searches_only_the_self_complement_pairs(monkeypatch):
+    # the census runs no second search of its representatives, and the
+    # complement and order-4 checks name classes by two-graph keys, so the
+    # batched search sees only the pairs that pass the self-complement
+    # check's degree guard at orders 2, 3 and 6
+    real = _kernels._codes
+    searched = []
+
+    def counting(rows, n):
+        searched.append(list(rows))
+        return real(rows, n)
+
+    monkeypatch.setattr(_kernels, "_codes", counting)
+    assert verify.suite_classes(6).ok
+    assert searched == [[rows for g in nonisomorphic_graphs(n) for pair in [(g.adj, complement(g).adj)]
+                         if iso._same_degrees(*pair) for rows in pair] for n in (2, 3, 6)]
 
 
 def _report(res):
