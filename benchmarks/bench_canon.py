@@ -40,9 +40,9 @@ if the two digests differ, so both sides computed the same codes,
 labelings, group orders, orbits, generators and representatives.
 
 `--crossover` times, on this checkout alone, the two ways
-`_kernels._search_codes` can search the switched stack of k scan slots,
-spread over CROSSOVER_GRAPHS random graphs of order n as a many-graph
-scan spreads a whole order's roots: one search per graph, and one
+`_kernels._search_codes` can search the switched stack of k scan slots
+of one random graph of order n, the stack that
+`_kernels.switch_orbit_scan` builds: one search per slot, and one
 batch; each figure is the median over PAIRS alternating pairs, per
 call.  `_SCAN_BATCH_MIN` is the k from which the batch wins.
 
@@ -85,7 +85,6 @@ REPEAT = 5
 PAIRS = 20
 SEED = 1
 CROSSOVER_ORDERS = (4, 6, 8, 10)
-CROSSOVER_GRAPHS = 8
 CROSSOVER_SLOTS = (2, 4, 6, 8, 12, 16, 24, 32)
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_canon.json")
 
@@ -290,19 +289,17 @@ def crossover(src):
     rng = random.Random(SEED)
     default = kernels._SCAN_BATCH_MIN
     rec = {"commit": _commit(src), "pairs": PAIRS, "repeat": REPEAT, "seed": SEED,
-           "graphs": CROSSOVER_GRAPHS, "scan_batch_min": default, "ms": {}}
+           "graphs": 1, "scan_batch_min": default, "ms": {}}
     try:
         for n in CROSSOVER_ORDERS:
-            batch = [_random_rows(sk, rng, n) for _ in range(CROSSOVER_GRAPHS)]
+            rows = _random_rows(sk, rng, n)
+            # slots 1..k, the most a graph of order n has being 2^(n-1) - 1
             for k in CROSSOVER_SLOTS:
-                if k > len(batch) * ((1 << (n - 1)) - 1):
+                if k >= 1 << (n - 1):
                     continue
-                # slot j of the call is slot j // CROSSOVER_GRAPHS + 1 of graph j % CROSSOVER_GRAPHS
-                index = [j % len(batch) for j in range(k)]
-                slots = [j // len(batch) + 1 for j in range(k)]
-                # the switched stack, as _kernels._switch_orbit_scans builds it
-                side = ((np.array(slots, dtype=np.int64) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
-                adj = kernels._adjacency(batch, n)[:, :, index] ^ (side[:, None] != side)
+                # the switched stack, as _kernels.switch_orbit_scan builds it
+                side = ((np.arange(1, k + 1) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
+                adj = kernels._adjacency([rows], n) ^ (side[:, None] != side)
                 got = {"per_slot": [], "batch": []}
                 for _ in range(PAIRS):
                     for way, threshold in (("per_slot", k + 1), ("batch", 0)):

@@ -16,6 +16,8 @@ pair:
   changes speed; the order-7 calls of iso, classes, iss and edge-iss
   take about a second each.  The invariants sweep stops at order 6, so
   its order-7 layer repeats the order-6 work;
+- `iss._iss_families` over the 1,044 representatives of order 7, the
+  iss suite's families without its spot check, cold like the suites;
 - one `run_suites("all", 6)`, the whole of `verify --suite all`, which
   may fork worker processes, started with the same caches and the
   generation caches cleared (`bench_canon.clear_generation`);
@@ -113,6 +115,9 @@ def _layers(sk):
         return [(r.suite, r.lines, r.checks, r.violations, r.findings)
                 for r in verify.run_suites("all", 6)]
 
+    reps7 = iso.nonisomorphic_graphs(7)
+    iss = importlib.import_module(f"{sk.__name__}.iss")
+    layers["iss_families_7_s"] = (1.0, 1, cold(lambda: iss._iss_families(reps7)))
     layers["verify_all_6_s"] = (1.0, 1, cold(verify_all))
     layers["census_7_s"] = (1.0, 1, cold(lambda: sk.classes.census(7)))
     single, batched = sk.invariants.seidel_char_poly, sk.invariants.seidel_char_polys

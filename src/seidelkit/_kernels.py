@@ -5,13 +5,16 @@ Graph.adj: bit j of rows[i] is set when {i, j} is an edge.  The search
 is plain Python over those ints; the two-graph kernels are numpy over a
 batch of graphs, and the algebra sweep is numpy over one int64 word per
 graph, its rows packed side by side (row i at bits n*i to n*i + n - 1).
-Helpers carry a leading underscore, so the unprefixed functions are the
-only entry points.
+Helpers carry a leading underscore.  Other modules of the package call
+a few of them too: iso the batch search (_search_codes, _codes and
+_adjacency), switching and verify the switch table _switch_pattern,
+and iso and invariants the bounds _CODES_MAX_ORDER and _SWEEP_BLOCK.
 
 The same search also runs on a whole stack of graphs of one order at
 once (_canon_codes), for the callers that need many forms and nothing
-else: the switch-orbit scan, iso.nonisomorphic_graphs, for each order's
-children, and _codes, for the code-only verdicts of verify's sweeps.
+else: switch_orbit_scan, for the switches of one graph,
+iso.nonisomorphic_graphs, for each order's children, and _codes, for
+the code-only verdicts of verify's sweeps (iso._isomorphic_pairs).
 Each of them hands its stack to _search_codes, which runs one batch
 from _SCAN_BATCH_MIN graphs up and one single search per graph below
 that, so a scan with few slots and generation's children of orders 2
@@ -229,8 +232,8 @@ def _canon(rows, n):
     return best[0], best[1], count, orbit, tuple(gens)
 
 
-# Entries of the search memo.  verify --max-order 6 runs 1338 searches of
-# 1338 distinct rows in one process, and on two CPUs 511 to 1127 in
+# Entries of the search memo.  verify --max-order 6 runs 1333 searches of
+# 1333 distinct rows in one process, and on two CPUs 732 to 900 in
 # either one, as the suites fall, so it evicts nothing; the codes of
 # _search_codes's batches never enter it.
 _CANON_MEMO = 1 << 11
@@ -415,53 +418,6 @@ def _codes(graphs, n):
     return [code[rows] for rows in graphs]
 
 
-def _switch_orbit_scans(graphs, n, codes, gens):
-    """switch_orbit_scan of each graph of a sequence, all of order n.
-
-    codes[i] and gens[i] are graphs[i]'s own canonical code and
-    automorphism generators.  Each graph's slots are reduced under its
-    own generators, and the roots of all the graphs are searched
-    together in one _search_codes call, so n stops at _CODES_MAX_ORDER.
-    """
-    full = (1 << n) - 1
-    half = 1 << (n - 1)
-    # per graph, the union-find parent of each slot.  _union hangs the
-    # larger root under the smaller, so a parent is a slot of the same
-    # class that is never larger, and equal only at the class's least slot.
-    orbits = []
-    index, slots = [], []
-    for i, generators in enumerate(gens):
-        parent = list(range(half))
-        for g in generators:
-            image = [0] * half  # image[k]: the mask g(2k)
-            for k in range(1, half):
-                low = k & -k
-                image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
-                _union(parent, k, (m ^ full if m & 1 else m) >> 1)
-        orbits.append(parent)
-        roots = [k for k in range(1, half) if parent[k] == k]
-        index += [i] * len(roots)
-        slots += roots
-    # side[v, j]: whether v is in the subset 2k of root slot j; a switch
-    # toggles exactly the pairs whose ends lie on different sides.  An
-    # order-1 graph has no slots, and the empty array needs an int dtype.
-    side = ((np.array(slots, dtype=np.int64) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
-    # one graph's stack broadcasts against its slots without a gather
-    adj = _adjacency(graphs, n)
-    if len(graphs) > 1:
-        adj = adj[:, :, index]
-    # the roots' codes, in graph then slot order, which is the order the
-    # copy reads them; every other slot copies its parent's code
-    searched = iter(_search_codes(adj ^ (side[:, None] != side), n))
-    scans = []
-    for code, parent in zip(codes, orbits):
-        scan = [code]
-        for k in range(1, half):
-            scan.append(next(searched) if parent[k] == k else scan[parent[k]])
-        scans.append(tuple(scan))
-    return scans
-
-
 def switch_orbit_scan(rows, n, code, gens):
     """Canonical code of the switch of rows by every even-mask subset, as a tuple.
 
@@ -471,10 +427,33 @@ def switch_orbit_scan(rows, n, code, gens):
     Index 0 is code.  An automorphism s of the graph maps the switch by
     S onto the switch by s(S), so only the least slot of each class
     under the generators is searched and the rest copy its code; with
-    no generators every slot is searched.  A batch of one of
-    _switch_orbit_scans.
+    no generators every slot is searched.  The roots go to one
+    _search_codes call, so n stops at _CODES_MAX_ORDER.
     """
-    return _switch_orbit_scans([rows], n, [code], [gens])[0]
+    full = (1 << n) - 1
+    half = 1 << (n - 1)
+    # the union-find parent of each slot.  _union hangs the larger root
+    # under the smaller, so a parent is a slot of the same class that is
+    # never larger, and equal only at the class's least slot.
+    parent = list(range(half))
+    for g in gens:
+        image = [0] * half  # image[k]: the mask g(2k)
+        for k in range(1, half):
+            low = k & -k
+            image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
+            _union(parent, k, (m ^ full if m & 1 else m) >> 1)
+    roots = [k for k in range(1, half) if parent[k] == k]
+    # side[v, j]: whether v is in the subset 2k of root slot j; a switch
+    # toggles exactly the pairs whose ends lie on different sides, and the
+    # graph's stack broadcasts against them.  An order-1 graph has no
+    # slots, and the empty array needs an int dtype.
+    side = ((np.array(roots, dtype=np.int64) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
+    # the roots' codes, in slot order; every other slot copies its parent's code
+    searched = iter(_search_codes(_adjacency([rows], n) ^ (side[:, None] != side), n))
+    scan = [code]
+    for k in range(1, half):
+        scan.append(next(searched) if parent[k] == k else scan[parent[k]])
+    return tuple(scan)
 
 
 def _triples(n):

@@ -64,29 +64,16 @@ def _canon_record(g: Graph) -> tuple:
 
 
 # iss_family and switching_class scan the same graph in turn, so a few
-# entries catch the repeat.  Every one-graph scan of the package comes
-# through here, and every many-graph scan through _switch_orbit_scans, so
-# these two check its order bound.  A scan starts from the graph's own
-# search, which canonical_form has usually run already.
+# entries catch the repeat.  Every scan of the package comes through here,
+# so this checks its order bound: iss_family, switching_class, the census
+# and the iss suite, which scans one graph per switching class.  A scan
+# starts from the graph's own search, which canonical_form has usually run
+# already.
 @lru_cache(maxsize=16)
 def _switch_orbit_codes(g: Graph) -> tuple[int, ...]:
     _check_bound(g.n, SWITCH_SCAN_MAX_ORDER)
     code, _, _, _, gens = _kernels.run_canon(g.adj, g.n)
     return _kernels.switch_orbit_scan(g.adj, g.n, code, gens)
-
-
-def _switch_orbit_scans(graphs) -> list[tuple[int, ...]]:
-    """_switch_orbit_codes of each graph, all of one order, searched as one batch."""
-    orders = {g.n for g in graphs}
-    if len(orders) > 1:
-        raise ValueError(f"one scan batch holds graphs of one order, not {sorted(orders)}")
-    if not graphs:
-        return []
-    n = graphs[0].n
-    _check_bound(n, SWITCH_SCAN_MAX_ORDER)
-    records = [_kernels.run_canon(g.adj, n) for g in graphs]
-    return _kernels._switch_orbit_scans([g.adj for g in graphs], n,
-                                        [r[0] for r in records], [r[4] for r in records])
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

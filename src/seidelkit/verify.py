@@ -20,9 +20,9 @@ classes suite names each graph's class by its two-graph key
 (_kernels.two_graph_orbits), with no search.  The oracles that check
 the batch stay on the single search: the iso suite's relabelings, the
 iss suite's spot check and singleton verdicts (its families come from
-the batched switch-orbit scan), automorphism counts, orbits and
-generators, the search of Aut(core) in condition_ii and the
-constructions.
+one switch-orbit scan per switching class, iss._iss_families),
+automorphism counts, orbits and generators, the search of Aut(core) in
+condition_ii and the constructions.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
 
-from seidelkit import cli
+from seidelkit import cli, make_graph, nonisomorphic_graphs, to_graph6
 from seidelkit.cli import main
+from seidelkit.generators import complete_bipartite, cube_q3, cycle, prism_c3p2
 
 
 def run_cli(argv, stdin_text=""):
@@ -99,6 +101,30 @@ def test_iss_edges_mode():
     assert code == 0
     assert "direct" in out and "cond_i" in out
     assert "(0,1)" in out and "(2,3)" in out
+
+
+def _iss_stdin():
+    # the 156 graphs of order 6, 24 seeded random graphs of orders 8-10 and
+    # four symmetric graphs, one graph6 line each
+    rng = random.Random(5)
+    graphs = list(nonisomorphic_graphs(6))
+    for _ in range(24):
+        n = rng.randint(8, 10)
+        graphs.append(make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]))
+    graphs += [cube_q3(), prism_c3p2(), cycle(10), complete_bipartite(4, 4)]
+    return "".join(to_graph6(g) + "\n" for g in graphs)
+
+
+@pytest.mark.parametrize("mode, stdout_sha", [
+    ("family", "809f2de3fd0f041a8da46b98243b7d7df2583c8026833608272e76654eff637d"),
+    ("vertices", "260c202d9d98cff55b8355c95eac6bf36e761c424404c112302aa32bd9dd9701"),
+    ("edges", "02759430f4ee2e61025eb5ae0627f254a08eae081891fbed0519ea437582c7af"),
+], ids=["family", "vertices", "edges"])
+def test_iss_stdin_pinned(mode, stdout_sha):
+    # the one-graph routes behind each mode, byte for byte
+    code, out, err = run_cli(["iss", "--stdin", "--mode", mode], _iss_stdin())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
 
 
 def test_iss_needs_a_graph_or_stdin():

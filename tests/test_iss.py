@@ -199,7 +199,7 @@ def test_family_members_are_exactly_the_identity_switches():
 
 def test_family_sizes_match_the_search_free_count():
     # the orbit-stabilizer count, which runs no canonical search, against
-    # the one-graph family, the iss suite's batched families and the
+    # the one-graph family, the iss suite's class-scan families and the
     # census's extremes, on every graph of orders 2-7
     for n in range(2, 8):
         graphs = nonisomorphic_graphs(n)
@@ -440,6 +440,33 @@ def test_edge_reports_match_the_single_graph_route():
         seen += sum(map(len, want))
     assert seen > 1380
     assert iss._edge_reports([]) == []
+
+
+def test_class_scan_families_match_one_graph_families():
+    # every graph of orders 1-7, one call per order; and at orders 8-10 a
+    # graph with many identity switches followed by seeded random
+    # relabelings of five of its switches, so the map from each member's
+    # switched first graph onto the member is not the identity
+    rng = random.Random(7)
+    groups = [list(nonisomorphic_graphs(n)) for n in range(1, 8)]
+    for g in (cube_q3(), complete_bipartite(3, 6), complete_bipartite(3, 7)):
+        n = g.n
+        members = [g]
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            members.append(relabel(switch_set(g, VertexSet(n, rng.randrange(1 << n))), tuple(perm)))
+        groups.append(members)
+    for graphs in groups:
+        assert iss._iss_families(graphs) == [iss_family(g) for g in graphs]
+    assert iss._iss_families([]) == []
+
+
+def test_class_scan_families_refuse_mixed_and_large_orders():
+    with pytest.raises(ValueError):
+        iss._iss_families([empty(7), empty(8)])
+    with pytest.raises(ValueError):
+        iss._iss_families([empty(SWITCH_SCAN_MAX_ORDER + 1)] * 2)
 
 
 def test_family_order_bound():

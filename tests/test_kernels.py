@@ -14,12 +14,10 @@ from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import Graph, graph_from_code, graph_to_code
 from seidelkit.iso import (
-    SWITCH_SCAN_MAX_ORDER,
     _child,
     _child_codes,
     _form,
     _generated,
-    _switch_orbit_scans,
     automorphisms,
     canonical_form,
 )
@@ -58,32 +56,6 @@ def test_switch_orbit_scan_matches_switch_set(monkeypatch):
     # K1 has no slots: its scan is its own code
     code = run_canon((0,), 1)[0]
     assert switch_orbit_scan((0,), 1, code, ()) == (code,)
-
-
-def _one_graph_scan(g):
-    code, _, _, _, gens = run_canon(g.adj, g.n)
-    return switch_orbit_scan(g.adj, g.n, code, gens)
-
-
-def test_many_graph_scans_match_one_graph_scans():
-    # every graph of orders 1-7 in one scan per order, and the graphs of
-    # the switch_set test in one scan per order they hold
-    groups = [list(nonisomorphic_graphs(n)) for n in range(1, 8)]
-    by_order = {}
-    for g in _scan_graphs():
-        by_order.setdefault(g.n, []).append(g)
-    for graphs in groups + list(by_order.values()):
-        assert _switch_orbit_scans(graphs) == [_one_graph_scan(g) for g in graphs]
-    assert _switch_orbit_scans([]) == []
-    # order-1 graphs have no slots, so their stack gathers none
-    assert _switch_orbit_scans([Graph(1, (0,))] * 3) == [(run_canon((0,), 1)[0],)] * 3
-
-
-def test_many_graph_scans_refuse_mixed_and_large_orders():
-    with pytest.raises(ValueError):
-        _switch_orbit_scans([empty(7), empty(8)])
-    with pytest.raises(ValueError):
-        _switch_orbit_scans([empty(SWITCH_SCAN_MAX_ORDER + 1)] * 2)
 
 
 def _switches(g):

@@ -276,10 +276,8 @@ def test_edge_suite_decides_each_edge_once(monkeypatch):
     assert calls == []
 
 
-def test_classes_suite_scans_each_class_once(monkeypatch):
-    # the census scans each of the 1 + 1 + 2 + 3 + 7 + 16 classes of
-    # orders 1-6; the complement and order-4 checks name classes by
-    # their two-graph keys
+def _counted_scans(monkeypatch):
+    # the orders of the switch-orbit scans from here on, with both caches cold
     _switch_orbit_codes.cache_clear()
     _kernels.run_canon.cache_clear()
     real = _kernels.switch_orbit_scan
@@ -290,7 +288,23 @@ def test_classes_suite_scans_each_class_once(monkeypatch):
         return real(rows, n, code, gens)
 
     monkeypatch.setattr(_kernels, "switch_orbit_scan", counting)
+    return calls
+
+
+def test_classes_suite_scans_each_class_once(monkeypatch):
+    # the census scans each of the 1 + 1 + 2 + 3 + 7 + 16 classes of
+    # orders 1-6; the complement and order-4 checks name classes by
+    # their two-graph keys
+    calls = _counted_scans(monkeypatch)
     assert verify.suite_classes(6).ok
+    assert len(calls) == 30
+
+
+def test_iss_suite_scans_each_class_once(monkeypatch):
+    # the 208 families through order 6 come from one scan per switching
+    # class: 1 + 1 + 2 + 3 + 7 + 16
+    calls = _counted_scans(monkeypatch)
+    assert verify.suite_iss(6).ok
     assert len(calls) == 30
 
 
