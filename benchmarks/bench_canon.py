@@ -282,9 +282,9 @@ def crossover(src):
     kernels = sk._kernels
     cold = kernels.run_canon.cache_clear
 
-    def search_codes(adj, n):
+    def search_codes(stack, n):
         cold()
-        return kernels._search_codes(adj, n)
+        return kernels._search_codes(stack, n)
 
     rng = random.Random(SEED)
     default = kernels._SCAN_BATCH_MIN
@@ -298,13 +298,12 @@ def crossover(src):
                 if k >= 1 << (n - 1):
                     continue
                 # the switched stack, as _kernels.switch_orbit_scan builds it
-                side = ((np.arange(1, k + 1) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
-                adj = kernels._adjacency([rows], n) ^ (side[:, None] != side)
+                stack = np.array(rows, dtype=np.int64) ^ kernels._switch_pattern(n)[np.arange(1, k + 1) << 1]
                 got = {"per_slot": [], "batch": []}
                 for _ in range(PAIRS):
                     for way, threshold in (("per_slot", k + 1), ("batch", 0)):
                         kernels._SCAN_BATCH_MIN = threshold
-                        got[way].append(1e3 * _median_s(lambda: search_codes(adj, n), REPEAT))
+                        got[way].append(1e3 * _median_s(lambda: search_codes(stack, n), REPEAT))
                 rec["ms"][f"{n}:{k}"] = {way: statistics.median(ts) for way, ts in got.items()}
     finally:
         kernels._SCAN_BATCH_MIN = default

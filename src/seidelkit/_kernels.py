@@ -6,9 +6,9 @@ is plain Python over those ints; the two-graph kernels are numpy over a
 batch of graphs, and the algebra sweep is numpy over one int64 word per
 graph, its rows packed side by side (row i at bits n*i to n*i + n - 1).
 Helpers carry a leading underscore.  Other modules of the package call
-a few of them too: iso the batch search (_search_codes, _codes and
-_adjacency), switching and verify the switch table _switch_pattern,
-and iso and invariants the bounds _CODES_MAX_ORDER and _SWEEP_BLOCK.
+a few of them too: iso the batch search (_search_codes and _codes),
+verify the switch table _switch_pattern, and iso and invariants the
+bounds _CODES_MAX_ORDER and _SWEEP_BLOCK.
 
 The same search also runs on a whole stack of graphs of one order at
 once (_canon_codes), for the callers that need many forms and nothing
@@ -30,15 +30,17 @@ verify.SWEEP_CAP).  Each single search goes through run_canon, a memo
 keyed by the rows, so a graph that a scan, a reader and a suite all
 meet is searched once; batch codes never enter it.
 
-The stack axis comes last: a stack is (n, n, graphs) bool, and a batch
-of search nodes holds its adjacency as (n, n, nodes) int64 and its
-ordered partitions as (n, nodes) colours, so every numpy loop of a
-round runs over the nodes, not over the n <= 11 vertices.  A leaf puts
-vertex v at position colour[v], so its code is one gather: each edge
-{u, v} adds the entry of an (n, n) table of pair bits at (colour[u],
-colour[v]).  A node whose partition stops moving is equitable, and
-once fewer than a quarter of a batch's nodes still move, the stable
-ones retire from the rest of its refinement rounds.
+A stack of graphs is a (graphs, n) int64 array of rows, as the
+two-graph kernels take it; switching it by subset s XORs in row s of
+_switch_pattern.  Only inside _canon_codes does the stack axis come
+last: a batch of search nodes holds its adjacency as (n, n, nodes)
+int64 and its ordered partitions as (n, nodes) colours, so every numpy
+loop of a round runs over the nodes, not over the n <= 11 vertices.  A
+leaf puts vertex v at position colour[v], so its code is one gather:
+each edge {u, v} adds the entry of an (n, n) table of pair bits at
+(colour[u], colour[v]).  A node whose partition stops moving is
+equitable, and once fewer than a quarter of a batch's nodes still move,
+the stable ones retire from the rest of its refinement rounds.
 
 Canonical labeling: iterative refinement of an ordered partition by
 neighbor counts, then depth-first backtracking over the discrete
@@ -288,12 +290,6 @@ def _order_tables(n):
     return p, q, pair, weight
 
 
-def _adjacency(graphs, n):
-    # the (n, n, graphs) bool stack of adjacency-row sequences of order n
-    rows = np.array(graphs, dtype=np.int64).reshape(-1, n)
-    return ((rows.T[:, None, :] >> np.arange(n)[:, None]) & 1).astype(bool)
-
-
 def _equitable(adj, colors):
     # The snapshot refinement of each node's ordered partition, for an
     # (n, n, nodes) int64 adjacency stack and (n, nodes) int64 colours,
@@ -328,8 +324,8 @@ def _equitable(adj, colors):
     return out
 
 
-def _canon_codes(adj, n):
-    """The minimum leaf code of each graph of an (n, n, graphs) bool stack.
+def _canon_codes(rows, n):
+    """The minimum leaf code of each graph of a (graphs, n) int64 row stack.
 
     Equal to _canon(rows, n)[0] for each graph whose search meets only
     target cells of up to _CELL_MAX vertices; a graph whose search meets
@@ -342,11 +338,14 @@ def _canon_codes(adj, n):
         raise ValueError(f"batched codes stop at order {_CODES_MAX_ORDER}")
     block = max(1, _SWEEP_BLOCK // (n * n))
     p, q, pair, _ = _order_tables(n)
-    count = adj.shape[2]
+    count = len(rows)
     best = np.full(count, np.iinfo(np.int64).max)
     wide = np.zeros(count, dtype=bool)
     for lo in range(0, count, block):
-        a = adj[:, :, lo : lo + block].astype(np.int64)
+        # a[i, j, g]: bit j of row i of graph g, C-contiguous for _equitable
+        r = rows[lo : lo + block]
+        a = np.right_shift(r.T[:, None, :], np.arange(n)[:, None], out=np.empty((n, n, len(r)), dtype=np.int64))
+        a &= 1
         # batches of search nodes as (graph index, adjacency, colours), the last one first
         todo = [(np.arange(lo, lo + a.shape[2]), a, np.zeros((n, a.shape[2]), dtype=np.int64))]
         while todo:
@@ -395,18 +394,17 @@ def _canon_codes(adj, n):
 _SCAN_BATCH_MIN = 12
 
 
-def _search_codes(adj, n):
-    # the canonical code of each graph of an (n, n, graphs) bool stack, as
+def _search_codes(rows, n):
+    # the canonical code of each graph of a (graphs, n) int64 row stack, as
     # a list of ints: one batch from _SCAN_BATCH_MIN graphs up, and
     # run_canon for the graphs below it and for the batch's hand-backs
-    if adj.shape[2] < _SCAN_BATCH_MIN:
-        codes = [-1] * adj.shape[2]
+    if len(rows) < _SCAN_BATCH_MIN:
+        codes = [-1] * len(rows)
     else:
-        codes = _canon_codes(adj, n).tolist()
-    bit = np.int64(1) << np.arange(n)
+        codes = _canon_codes(rows, n).tolist()
     for i, code in enumerate(codes):
         if code < 0:
-            codes[i] = run_canon(tuple((adj[:, :, i] @ bit).tolist()), n)[0]
+            codes[i] = run_canon(tuple(rows[i].tolist()), n)[0]
     return codes
 
 
@@ -414,7 +412,7 @@ def _codes(graphs, n):
     # the canonical code of each row tuple of order n, in input order, each
     # distinct tuple searched once
     distinct = list(dict.fromkeys(graphs))
-    code = dict(zip(distinct, _search_codes(_adjacency(distinct, n), n)))
+    code = dict(zip(distinct, _search_codes(np.array(distinct, dtype=np.int64), n)))
     return [code[rows] for rows in graphs]
 
 
@@ -442,14 +440,11 @@ def switch_orbit_scan(rows, n, code, gens):
             low = k & -k
             image[k] = m = image[k ^ low] | 1 << g[low.bit_length()]
             _union(parent, k, (m ^ full if m & 1 else m) >> 1)
-    roots = [k for k in range(1, half) if parent[k] == k]
-    # side[v, j]: whether v is in the subset 2k of root slot j; a switch
-    # toggles exactly the pairs whose ends lie on different sides, and the
-    # graph's stack broadcasts against them.  An order-1 graph has no
-    # slots, and the empty array needs an int dtype.
-    side = ((np.array(roots, dtype=np.int64) << 1 >> np.arange(n)[:, None]) & 1).astype(bool)
-    # the roots' codes, in slot order; every other slot copies its parent's code
-    searched = iter(_search_codes(_adjacency([rows], n) ^ (side[:, None] != side), n))
+    # the roots' switches through the switch table, and their codes in slot
+    # order; every other slot copies its parent's code.  An order-1 graph
+    # has no slots, and the empty index needs an int dtype.
+    roots = np.array([k for k in range(1, half) if parent[k] == k], dtype=np.int64)
+    searched = iter(_search_codes(np.array(rows, dtype=np.int64) ^ _switch_pattern(n)[roots << 1], n))
     scan = [code]
     for k in range(1, half):
         scan.append(next(searched) if parent[k] == k else scan[parent[k]])
@@ -500,10 +495,13 @@ def two_graph_orbits(graphs, n):
     return keys, sizes
 
 
+@lru_cache(maxsize=None)
 def _switch_pattern(n):
     # pattern[s, i]: the mask that switching by subset s XORs into row i,
-    # which is row i of the empty graph switched by s
-    return np.array([_switch_rows([0] * n, s) for s in range(1 << n)], dtype=np.int64)
+    # which is row i of the empty graph switched by s; shared, so read-only
+    pattern = np.array([_switch_rows([0] * n, s) for s in range(1 << n)], dtype=np.int64)
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _words(rows, n):

@@ -26,9 +26,10 @@ SWITCH_SCAN_MAX_ORDER = 10
 # cold (benchmarks/BENCH_sweeps.json); order 9 holds 274,668 and took 35 s
 # and 297 MB
 GENERATION_MAX_ORDER = 8
-# generation searches each order's children through _kernels._search_codes,
-# whose batches stop at _CODES_MAX_ORDER
+# generation searches each order's children, and a scan its root switches,
+# through _kernels._search_codes, whose batches stop at _CODES_MAX_ORDER
 assert GENERATION_MAX_ORDER <= _kernels._CODES_MAX_ORDER
+assert SWITCH_SCAN_MAX_ORDER <= _kernels._CODES_MAX_ORDER
 
 
 class CanonicalForm(NamedTuple):
@@ -209,17 +210,16 @@ def _child_codes(graphs: list[Graph], k: int) -> list[int]:
     # the canonical code of each child of each graph of order k - 1, in
     # parent then mask order, searched together by _kernels._search_codes
     nmask = 1 << (k - 1)
-    # bits[i, m]: whether mask m joins the new vertex k - 1 to i
-    bits = ((np.arange(nmask) >> np.arange(k - 1)[:, None]) & 1).astype(bool)
+    # joins[m]: the rows that mask m adds, the new vertex k - 1 in row i for
+    # each i of m, and m as the new last row
+    masks = np.arange(nmask, dtype=np.int64)
+    joins = np.hstack([((masks[:, None] >> np.arange(k - 1)) & 1) << (k - 1), masks[:, None]])
     chunk = max(1, _kernels._SWEEP_BLOCK // (nmask * k * k))
     codes = []
     for lo in range(0, len(graphs), chunk):
-        parents = _kernels._adjacency([g.adj for g in graphs[lo : lo + chunk]], k - 1)
-        kids = np.zeros((k, k, parents.shape[2], nmask), dtype=bool)
-        kids[: k - 1, : k - 1] = parents[:, :, :, None]
-        kids[k - 1, : k - 1] = bits[:, None]
-        kids[: k - 1, k - 1] = bits[:, None]
-        codes += _kernels._search_codes(kids.reshape(k, k, -1), k)
+        # each parent's rows with an empty new last row, ORed with every mask's
+        parents = np.array([(*g.adj, 0) for g in graphs[lo : lo + chunk]], dtype=np.int64)
+        codes += _kernels._search_codes((parents[:, None] | joins).reshape(-1, k), k)
     return codes
 
 

@@ -3,12 +3,12 @@
 Switching by a subset S toggles every adjacency between S and its
 complement and leaves both sides internally untouched.  The subset form
 is the primitive; single-vertex and sequence switching delegate to it.
-The row rule itself is graphs._switch_rows, which _kernels._switch_pattern
-shares for the algebra sweep and verify's invariants suite; that sweep
-checks the textbook identities (symmetric difference, complement of the
-set, complement of the graph) on every labeled graph through order 5.
-The switch-orbit scan toggles the crossing pairs itself, and verify's
-iss suite spot-checks it against switch_set.
+The row rule itself is graphs._switch_rows.  It builds the table
+_kernels._switch_pattern, through which the switch-orbit scan, the
+algebra sweep and verify's invariants suite switch, so the sweep's
+textbook identities (symmetric difference, complement of the set,
+complement of the graph), checked on every labeled graph through order
+5, hold for the rule that switch_set and the scan share.
 """
 
 from __future__ import annotations

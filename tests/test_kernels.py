@@ -40,7 +40,7 @@ def test_switch_orbit_scan_matches_switch_set(monkeypatch):
     # scans on both sides of the slot threshold: batched and one search per slot
     batched = []
     canon_codes = _kernels._canon_codes
-    monkeypatch.setattr(_kernels, "_canon_codes", lambda adj, n: batched.append(n) or canon_codes(adj, n))
+    monkeypatch.setattr(_kernels, "_canon_codes", lambda rows, n: batched.append(n) or canon_codes(rows, n))
     for g in graphs:
         n = g.n
         code, _, _, _, gens = run_canon(g.adj, n)
@@ -60,6 +60,17 @@ def test_switch_orbit_scan_matches_switch_set(monkeypatch):
 
 def _switches(g):
     return [switch_set(g, VertexSet(g.n, 2 * k)).adj for k in range(1 << (g.n - 1))]
+
+
+def _stack(graphs):
+    # the (graphs, n) int64 row stack that the batched search takes
+    return np.array(graphs, dtype=np.int64)
+
+
+def _nodes(graphs, n):
+    # the (n, n, graphs) int64 node adjacency that _canon_codes expands a
+    # row stack into, and that _equitable refines
+    return np.ascontiguousarray((_stack(graphs).T[:, None, :] >> np.arange(n)[:, None]) & 1)
 
 
 def _two_cell_witness():
@@ -118,7 +129,7 @@ def _batch_inputs():
 def test_batched_codes_match_the_single_search():
     resolved = handed_back = 0
     for n, graphs in _batch_inputs():
-        codes = _kernels._canon_codes(_kernels._adjacency(graphs, n), n)
+        codes = _kernels._canon_codes(_stack(graphs), n)
         assert codes.dtype == np.int64 and len(codes) == len(graphs)
         for rows, code in zip(graphs, codes.tolist()):
             if code == -1:
@@ -138,10 +149,10 @@ def test_codes_match_the_single_search(monkeypatch):
     # searched once and answered in place.
     rng = random.Random(808)
     wide = [empty(8).adj, complete_bipartite(4, 4).adj]
-    assert _kernels._canon_codes(_kernels._adjacency(wide, 8), 8).tolist() == [-1, -1]
+    assert _kernels._canon_codes(_stack(wide), 8).tolist() == [-1, -1]
     batched = []
     canon_codes = _kernels._canon_codes
-    monkeypatch.setattr(_kernels, "_canon_codes", lambda adj, n: batched.append(adj.shape[2]) or canon_codes(adj, n))
+    monkeypatch.setattr(_kernels, "_canon_codes", lambda rows, n: batched.append(len(rows)) or canon_codes(rows, n))
     for distinct in (_kernels._SCAN_BATCH_MIN - 1, _kernels._SCAN_BATCH_MIN, 40):
         graphs = wide + [_random_graph(rng, 8).adj for _ in range(distinct - 2)]
         graphs += graphs[::3]
@@ -150,7 +161,7 @@ def test_codes_match_the_single_search(monkeypatch):
         assert run_canon.cache_info().currsize == (2 if distinct >= _kernels._SCAN_BATCH_MIN else distinct)
     # an empty input, as a list or as a stack, runs no batch
     assert _kernels._codes([], 8) == []
-    assert _kernels._search_codes(np.zeros((8, 8, 0), dtype=bool), 8) == []
+    assert _kernels._search_codes(np.zeros((0, 8), dtype=np.int64), 8) == []
     assert batched == [_kernels._SCAN_BATCH_MIN, 40]
 
 
@@ -160,12 +171,11 @@ def test_two_cell_witness_needs_both_children():
     # the first, or only the second, vertex of each 2-cell would miss it in
     # one of the two labelings that _batch_inputs holds.
     g = _two_cell_witness()
-    adj = _kernels._adjacency([g.adj], 10)
-    root = _kernels._equitable(adj.astype(np.int64), np.zeros((10, 1), dtype=np.int64))
+    root = _kernels._equitable(_nodes([g.adj], 10), np.zeros((10, 1), dtype=np.int64))
     assert root[:, 0].tolist() == [0, 0] + [2] * 8
     _, lab, _, orbit, _ = _kernels._canon(g.adj, 10)
     assert orbit[0] != orbit[1] and lab[0] == 1
-    assert _kernels._canon_codes(adj, 10).tolist() != [-1]
+    assert _kernels._canon_codes(_stack([g.adj]), 10).tolist() != [-1]
 
 
 def test_cell_witnesses_need_every_child():
@@ -175,14 +185,13 @@ def test_cell_witnesses_need_every_child():
     # labelings that _batch_inputs holds.
     for k, g in _cell_witnesses().items():
         n = g.n
-        adj = _kernels._adjacency([g.adj], n)
-        root = _kernels._equitable(adj.astype(np.int64), np.zeros((n, 1), dtype=np.int64))
+        root = _kernels._equitable(_nodes([g.adj], n), np.zeros((n, 1), dtype=np.int64))
         assert root[:, 0].tolist() == [0] * k + [k] * (n - k)
         _, lab, _, orbit, _ = _kernels._canon(g.adj, n)
         assert lab[0] == 2 and [orbit[v] == orbit[2] for v in range(k)].count(True) == 1
         assert len({orbit[v] for v in range(k)}) >= 2
         assert {_kernels._canon(h.adj, n)[1][0] for h in _rotations(g, k)} == set(range(k))
-        assert _kernels._canon_codes(adj, n).tolist() == [_kernels._canon(g.adj, n)[0]]
+        assert _kernels._canon_codes(_stack([g.adj]), n).tolist() == [_kernels._canon(g.adj, n)[0]]
 
 
 def _round_widths(monkeypatch):
@@ -202,8 +211,8 @@ def test_batched_codes_on_scan_stacks(monkeypatch):
     rng = random.Random(808)
     for n in (8, 9, 10, 11):
         stack = _switches(_random_graph(rng, n))
-        adj = _kernels._adjacency(stack, n)
-        want = _kernels._canon_codes(adj, n)
+        batch = _stack(stack)
+        want = _kernels._canon_codes(batch, n)
         assert (want >= 0).any()
         for rows, code in zip(stack, want.tolist()):
             assert code == -1 or code == _kernels._canon(rows, n)[0]
@@ -212,7 +221,7 @@ def test_batched_codes_on_scan_stacks(monkeypatch):
             assert default // (n * n) >= len(stack)
         for size in (1, 100 * n * n):
             monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", size)
-            assert (_kernels._canon_codes(adj, n) == want).all()
+            assert (_kernels._canon_codes(batch, n) == want).all()
         monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", default)
 
 
@@ -227,7 +236,7 @@ def test_batched_codes_with_both_children_in_one_batch(monkeypatch):
     equitable = _kernels._equitable
     for n, stack in stacks:
         assert len(set(stack)) == len(stack)
-        adj = _kernels._adjacency(stack, n)
+        batch = _stack(stack)
         shared = []
 
         def spy(a, colors):
@@ -235,12 +244,12 @@ def test_batched_codes_with_both_children_in_one_batch(monkeypatch):
             return equitable(a, colors)
 
         monkeypatch.setattr(_kernels, "_equitable", spy)
-        want = _kernels._canon_codes(adj, n)
+        want = _kernels._canon_codes(batch, n)
         assert any(shared) and (want >= 0).any()
         for rows, code in zip(stack, want.tolist()):
             assert code == -1 or code == _kernels._canon(rows, n)[0]
         monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", 1)
-        assert (_kernels._canon_codes(adj, n) == want).all()
+        assert (_kernels._canon_codes(batch, n) == want).all()
         monkeypatch.undo()
 
 
@@ -252,7 +261,7 @@ def test_retired_nodes_keep_their_partitions(monkeypatch):
     p10 = make_graph(10, [(i, i + 1) for i in range(9)])
     stars = [make_graph(10, [(c, v) for v in range(10) if v != c]) for c in range(1, 10)]
     graphs = [p10.adj] + [g.adj for g in stars]
-    adj = _kernels._adjacency(graphs, 10).astype(np.int64)
+    adj = _nodes(graphs, 10)
     colors = _kernels._equitable(adj, np.zeros((10, 10), dtype=np.int64))
     # every node moves in the first round, only P10 in the second, so the
     # stars retire after it
@@ -273,7 +282,7 @@ def test_batched_codes_where_nodes_retire(monkeypatch):
     for n in (8, 9, 10):
         stack = _switches(_random_graph(rng, n))
         calls = _round_widths(monkeypatch)
-        codes = _kernels._canon_codes(_kernels._adjacency(stack, n), n)
+        codes = _kernels._canon_codes(_stack(stack), n)
         monkeypatch.undo()
         assert any(widths[-1] < widths[0] for widths in calls)
         for rows, code in zip(stack, codes.tolist()):
@@ -282,17 +291,17 @@ def test_batched_codes_where_nodes_retire(monkeypatch):
 
 def test_batched_codes_run_in_blocks(monkeypatch):
     # one search node per batch gives the codes of the default batches
-    adj = _kernels._adjacency([graph_from_code(6, c).adj for c in range(0, 1 << 15, 37)], 6)
-    want = _kernels._canon_codes(adj, 6)
+    rows = _stack([graph_from_code(6, c).adj for c in range(0, 1 << 15, 37)])
+    want = _kernels._canon_codes(rows, 6)
     monkeypatch.setattr(_kernels, "_SWEEP_BLOCK", 1)
-    assert (_kernels._canon_codes(adj, 6) == want).all()
+    assert (_kernels._canon_codes(rows, 6) == want).all()
 
 
 def test_batched_codes_refuse_orders_past_int64():
     # C(12, 2) = 66 code bits do not fit
     assert _kernels._CODES_MAX_ORDER == 11
     with pytest.raises(ValueError):
-        _kernels._canon_codes(np.zeros((12, 12, 1), dtype=bool), 12)
+        _kernels._canon_codes(np.zeros((1, 12), dtype=np.int64), 12)
 
 
 # sha256 of the graph6 lines of nonisomorphic_graphs(7), in order
@@ -458,6 +467,8 @@ def test_algebra_sweep_finds_no_violations():
 
 
 def test_switch_pattern_matches_switch_set():
+    # every labeled graph through order 4, and the empty graph of orders
+    # 5-10, the orders the switch-orbit scan switches through the table
     for n in range(1, 5):
         pattern = _kernels._switch_pattern(n)
         for code in range(1 << (n * (n - 1) // 2)):
@@ -465,6 +476,14 @@ def test_switch_pattern_matches_switch_set():
             for s in range(1 << n):
                 rows = tuple(int(r ^ p) for r, p in zip(g.adj, pattern[s]))
                 assert rows == switch_set(g, VertexSet(n, s)).adj
+    for n in range(5, 11):
+        pattern = _kernels._switch_pattern(n)
+        assert pattern.dtype == np.int64
+        assert list(map(tuple, pattern.tolist())) == [switch_set(empty(n), VertexSet(n, s)).adj for s in range(1 << n)]
+    # the cached table is shared, so it refuses writes
+    assert _kernels._switch_pattern(10) is pattern
+    with pytest.raises(ValueError):
+        pattern[1, 0] ^= 1
 
 
 def test_sweep_words_pack_graph_from_code():
