@@ -28,10 +28,14 @@ graphs repeat the rows of the graph as built:
 - a cold `nonisomorphic_graphs(7)`, the search memo and the generation
   caches cleared before each call (`clear_generation`);
 - `switching_class` per graph on seeded random graphs at orders 8 and
-  10, reading the representative and the size as a query does, with the
-  scan warm: the 16 graphs of both layers fit the 16-entry
-  `_switch_orbit_codes` cache, and no other layer calls it, so each
-  call times only what the class does after its scan;
+  10, reading the representative and the size as a query does, with
+  each graph's class scanned before the timing starts and no layer
+  emptying the scan cache (`clear_scans`), so each call times only what
+  the class does after its scan.  A checkout that keys its classes by
+  canonical code (`iso._CLASS_SCANS`) looks each graph's code up in the
+  search memo, which the other layers clear, so its first call after
+  them searches each graph again; the median of REPEAT calls reads the
+  warm ones;
 - `switch_set` per call on seeded random graphs of order 10, each with
   a random subset.
 
@@ -109,7 +113,8 @@ def _commit(src):
         head = git("describe", "--always")
         dirty = git("status", "--porcelain", "--", ".")
     except (OSError, subprocess.CalledProcessError):
-        return None
+        raise SystemExit(f"{src} is not inside a git work tree, so a record could not name its commit; "
+                         "time a `git clone` of the commit instead") from None
     return head + "-dirty" if dirty else head
 
 
@@ -193,7 +198,7 @@ def _layers(sk):
     for n, count in CLASS_GRAPHS.items():
         batch = [sk.Graph(n, _random_rows(sk, rng, n)) for _ in range(count)]
         for g in batch:
-            iso._switch_orbit_codes(g)
+            sk.switching_class(g)
         layers[f"switching_class_random_{n}_ms"] = (1e3, count, classes(batch))
     n = SWITCH_ORDER
     calls = [(sk.Graph(n, _random_rows(sk, rng, n)), sk.VertexSet(n, rng.randrange(1 << n)))
@@ -202,12 +207,23 @@ def _layers(sk):
     return layers
 
 
+def clear_scans(iso):
+    """Empty the scan cache of either checkout: the class scans
+    `iso._CLASS_SCANS`, or the per-graph `iso._switch_orbit_codes` of
+    checkouts before them."""
+    if hasattr(iso, "_CLASS_SCANS"):
+        iso._CLASS_SCANS.clear()
+    else:
+        iso._switch_orbit_codes.cache_clear()
+
+
 def clear_generation(iso):
     """Clear every lru_cache of the iso module but the scan cache.
 
     The generation caches differ in name and number between checkouts,
     so each side clears what it has, and neither is timed warm.  The
-    switching_class layers keep the scan cache warm on purpose.
+    switching_class layers keep the scan cache warm on purpose; callers
+    that want it cold call clear_scans.
     """
     for name, obj in vars(iso).items():
         if hasattr(obj, "cache_clear") and name != "_switch_orbit_codes":
@@ -238,6 +254,7 @@ def pairs(layers_of, parent_src, change_src, repeat, count=PAIRS):
     ratio of the medians by up to 15% on identical code; a pair shares
     one speed, so the per-pair median holds within a few percent.
     """
+    commits = {"parent": _commit(parent_src), "change": _commit(change_src)}
     sides = {"parent": layers_of(_load(parent_src, "seidelkit_parent")),
              "change": layers_of(_load(change_src, "seidelkit"))}
     digests = {side: _digest(layers) for side, layers in sides.items()}
@@ -250,7 +267,7 @@ def pairs(layers_of, parent_src, change_src, repeat, count=PAIRS):
             for side in order:
                 scale, per, call = sides[side][name]
                 times[side][name].append(scale * _median_s(call, repeat) / per)
-    rec = {"commit": {"parent": _commit(parent_src), "change": _commit(change_src)},
+    rec = {"commit": commits,
            "pairs": count, "repeat": repeat, "seed": SEED,
            "outputs_sha256": digests["change"], "layers": {}}
     for name in sides["parent"]:

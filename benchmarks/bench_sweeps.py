@@ -11,13 +11,15 @@ pair:
 - the invariants, classes, iss and edge-iss suites at order 6, the iso,
   invariants, classes, iss and edge-iss suites at order 7 and
   `census(7)`, each call started with the search memo and the scan
-  cache cleared, so it times searches, not cache hits.  An order-6 suite
-  call takes 0.03-0.25 s, too short to resolve 10% on a machine that
-  changes speed; the order-7 calls of iso, classes, iss and edge-iss
-  take about a second each.  The invariants sweep stops at order 6, so
+  cache cleared (`bench_canon.clear_scans`), so it times searches, not
+  cache hits.  An order-6 suite call takes 0.03-0.25 s, too short to
+  resolve 10% on a machine that changes speed; the order-7 calls of
+  iso, classes, iss and edge-iss take about a second each.  The invariants sweep stops at order 6, so
   its order-7 layer repeats the order-6 work;
-- `iss._iss_families` over the 1,044 representatives of order 7, the
-  iss suite's families without its spot check, cold like the suites;
+- the families of the 1,044 representatives of order 7, the iss
+  suite's families without its spot check, cold like the suites:
+  `iss_family` of each, or `iss._iss_families` in checkouts that have
+  it;
 - one `run_suites("all", 6)`, the whole of `verify --suite all`, which
   may fork worker processes, started with the same caches and the
   generation caches cleared (`bench_canon.clear_generation`);
@@ -58,7 +60,7 @@ import statistics
 import subprocess
 import sys
 
-from bench_canon import SEED, _quartiles, append, clear_generation, pairs
+from bench_canon import SEED, _quartiles, append, clear_generation, clear_scans, pairs
 
 # order -> number of seeded random graphs timed at that order
 POLY_GRAPHS = {6: 256, 8: 256, 12: 64, 13: 32, 16: 16}
@@ -87,7 +89,7 @@ def _layers(sk):
     verify = importlib.import_module(f"{sk.__name__}.verify")
     # the graphs stay cached, the searches do not: a repeat would otherwise
     # time cache hits wherever the suite's searches fit in the cache
-    caches = (kernels.run_canon.cache_clear, iso._switch_orbit_codes.cache_clear)
+    caches = (kernels.run_canon.cache_clear, lambda: clear_scans(iso))
 
     def cold(call):
         def run():
@@ -117,7 +119,8 @@ def _layers(sk):
 
     reps7 = iso.nonisomorphic_graphs(7)
     iss = importlib.import_module(f"{sk.__name__}.iss")
-    layers["iss_families_7_s"] = (1.0, 1, cold(lambda: iss._iss_families(reps7)))
+    families = getattr(iss, "_iss_families", lambda graphs: [iss.iss_family(g) for g in graphs])
+    layers["iss_families_7_s"] = (1.0, 1, cold(lambda: families(reps7)))
     layers["verify_all_6_s"] = (1.0, 1, cold(verify_all))
     layers["census_7_s"] = (1.0, 1, cold(lambda: sk.classes.census(7)))
     single, batched = sk.invariants.seidel_char_poly, sk.invariants.seidel_char_polys

@@ -234,8 +234,8 @@ def _canon(rows, n):
     return best[0], best[1], count, orbit, tuple(gens)
 
 
-# Entries of the search memo.  verify --max-order 6 runs 1333 searches of
-# 1333 distinct rows in one process, and on two CPUs 732 to 900 in
+# Entries of the search memo.  verify --max-order 6 runs 1263 searches of
+# 1263 distinct rows in one process, and on two CPUs 663 to 924 in
 # either one, as the suites fall, so it evicts nothing; the codes of
 # _search_codes's batches never enter it.
 _CANON_MEMO = 1 << 11

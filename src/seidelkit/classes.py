@@ -2,13 +2,13 @@
 
 Two labeled graphs are switching-equivalent when some subset switch
 carries one to the other; folding in isomorphism gives the classes
-counted here.  switching_class lists one graph's class with one
-switch-orbit scan.  The census walks the canonical codes that
-generation found, with one such scan per class, which also gives the
-class's labeled count.  Verify's classes suite checks those counts by the
-two-graph stabilizers of the class representatives, and compares the
-class sizes of a graph and its complement by their two-graph keys, all
-with no canonical search.
+counted here.  switching_class reads one graph's class off the
+switch-orbit scan of its class, which iss_family shares.  The census
+walks the canonical codes that generation found, with one such scan per
+class, which also gives the class's labeled count.  Verify's classes
+suite checks those counts by the two-graph stabilizers of the class
+representatives, and compares the class sizes of a graph and its
+complement by their two-graph keys, all with no canonical search.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .invariants import seidel_char_polys
 from .iso import (
     GENERATION_MAX_ORDER,
     CanonicalForm,
+    _class_scan,
     _code,
     _form,
     _forms,
     _generated,
-    _switch_orbit_codes,
     automorphism_count,
     canonical_graph,
 )
@@ -71,7 +71,7 @@ class SwitchingClass:
 
 def switching_class(g: Graph) -> SwitchingClass:
     """The switching class of g, as the canonical codes of its members."""
-    return SwitchingClass(g.n, tuple(sorted(set(_switch_orbit_codes(g)))))
+    return SwitchingClass(g.n, _class_scan(g)[3])
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,10 @@ def census(n: int) -> list[CensusRecord]:
 
     Route: walk the canonical codes that generation found for order n,
     in ascending order.  The first one no class covers yet is the
-    minimum of a new class; one switch-orbit scan of its canonical
-    graph lists the class's members, one code per even-mask switch.  A
-    member whose code appears c times there has an identity-switch
+    minimum of a new class; the class's one switch-orbit scan, of its
+    canonical graph or of the member first met (iso._class_scan), lists
+    the class's members, one code per even-mask switch.  A member whose
+    code appears c times in any member's scan has an identity-switch
     family of 2c subsets (each even mask stands for itself and its
     complement).  So the class's two-graph T has |Aut(T)| = c |Aut(rep)|
     for the representative's c, and the class holds 2^(n-1) n!/|Aut(T)|
@@ -120,12 +121,12 @@ def census(n: int) -> list[CensusRecord]:
         if code in covered:
             continue
         rep = canonical_graph(_form(n, code))
-        codes = _switch_orbit_codes(rep)
-        counts = Counter(codes)
-        if codes[0] != code or min(counts) != code:
+        got, _, scan, codes = _class_scan(rep)
+        if got != code or codes[0] != code:
             raise AssertionError("class representative failed to re-canonicalize as its minimum")
-        covered.update(counts)
-        poly, *polys = seidel_char_polys([canonical_graph(m) for m in _forms(n, sorted(counts))])
+        counts = Counter(scan)
+        covered.update(codes)
+        poly, *polys = seidel_char_polys([canonical_graph(m) for m in _forms(n, codes)])
         if any(p != poly for p in polys):
             raise AssertionError("Seidel polynomial differs inside a switching class")
         records.append(

@@ -64,17 +64,35 @@ def _canon_record(g: Graph) -> tuple:
     return (_form(g.n, code), *rest)
 
 
-# iss_family and switching_class scan the same graph in turn, so a few
-# entries catch the repeat.  Every scan of the package comes through here,
-# so this checks its order bound: iss_family, switching_class, the census
-# and the iss suite, which scans one graph per switching class.  A scan
-# starts from the graph's own search, which canonical_form has usually run
-# already.
-@lru_cache(maxsize=16)
-def _switch_orbit_codes(g: Graph) -> tuple[int, ...]:
+# The class scans: order -> canonical code -> (f, f's scan, the class's
+# sorted codes), every code of one scan naming the same entry.  One scan
+# answers every member of f's switching class, however labeled or
+# switched, so a class is scanned once per process until the codes held
+# would pass _CLASS_SCAN_MAX_CODES, when the cache is emptied first.  Int
+# keys in one dict per order take about half the memory of (n, code) keys.
+_CLASS_SCANS: dict[int, dict[int, tuple]] = {}
+_CLASS_SCAN_MAX_CODES = 1 << 16
+# a class of order n holds at most 2^(n-1) codes, so any one class fits
+assert 1 << (SWITCH_SCAN_MAX_ORDER - 1) <= _CLASS_SCAN_MAX_CODES
+
+
+def _class_scan(g: Graph) -> tuple:
+    """(g's code, f, f's scan, sorted class codes) for g's switching class.
+
+    Every scan of the package comes through here, so this checks its
+    order bound: iss_family, switching_class and the census.  The scan
+    starts from the search of the first member f met, which
+    canonical_form has usually run already.
+    """
     _check_bound(g.n, SWITCH_SCAN_MAX_ORDER)
     code, _, _, _, gens = _kernels.run_canon(g.adj, g.n)
-    return _kernels.switch_orbit_scan(g.adj, g.n, code, gens)
+    if code not in _CLASS_SCANS.get(g.n, ()):
+        scan = _kernels.switch_orbit_scan(g.adj, g.n, code, gens)
+        codes = tuple(sorted(set(scan)))
+        if sum(map(len, _CLASS_SCANS.values())) + len(codes) > _CLASS_SCAN_MAX_CODES:
+            _CLASS_SCANS.clear()
+        _CLASS_SCANS.setdefault(g.n, {}).update(dict.fromkeys(codes, (g, scan, codes)))
+    return (code, *_CLASS_SCANS[g.n][code])
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -17,8 +17,9 @@ search for the codes (iso._isomorphic_pairs).  condition_ii there is
 edge_iss_conditions' own code, which searches Aut(core) one core at a
 time.  Every public function here keeps its one-graph route, and so
 does the iss suite's spot check and singleton verdicts, which run the
-single search; its families come from _iss_families, one switch-orbit
-scan per switching class.
+single search.  iss_family reads its family off the switch-orbit scan
+of its switching class, which the process scans once (iso._class_scan),
+so the iss suite scans one graph per class.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .graphs import Graph, VertexSet, _check_bound, _switch_rows, induced_subgraph
-from .iso import SWITCH_SCAN_MAX_ORDER, _isomorphic_pairs, _switch_orbit_codes, automorphisms, is_isomorphic
+from .graphs import Graph, VertexSet, _switch_rows, induced_subgraph
+from .iso import _class_scan, _isomorphic_pairs, automorphisms, is_isomorphic
 from .switching import switch_set
 
 
@@ -59,48 +60,24 @@ class IssFamily:
 def iss_family(g: Graph) -> IssFamily:
     """Every identity switch of g, with the symmetric-difference verdict.
 
-    The switch-orbit scan covers the subsets avoiding vertex 0 and the
-    complement map fills in the rest, so the cost is at most 2^(n-1)
-    canonical forms, one per automorphism orbit of those subsets;
-    switching_class on the same graph reuses the scan.
-    """
-    codes = _switch_orbit_codes(g)
-    # slot k holds the even mask 2k, whose complement switches the same way
-    return _family(g, [2 * k for k, c in enumerate(codes) if c == codes[0]])
-
-
-def _iss_families(graphs) -> list[IssFamily]:
-    """iss_family of each graph, all of one order, from one scan per switching class.
-
     If h is f switched by S, the identity switches of h are S ^ U over
     the switches U of f that land in h's isomorphism class (Seidel &
-    Taylor, "Two-graphs, a second survey", 1981).  So only the first
-    graph f met in each class is scanned.  A later member g takes h, f
-    switched by the first even mask S whose code is g's, and the
-    isomorphism that the canonical labelings of h and g give carries
-    h's identity switches onto g.
+    Taylor, "Two-graphs, a second survey", 1981).  So one switch-orbit
+    scan of the first graph f met in g's switching class, at most
+    2^(n-1) canonical forms, answers every member.  g takes h, f switched
+    by the first even mask S whose code is g's, and the isomorphism that
+    the canonical labelings of h and g give carries h's identity switches
+    onto g; switching_class reads the same scan.
     """
-    orders = sorted({g.n for g in graphs})
-    # codes do not carry their order, so one map cannot hold two orders
-    if len(orders) > 1:
-        raise ValueError(f"families are taken for graphs of one order, not {orders}")
-    if orders:
-        _check_bound(orders[0], SWITCH_SCAN_MAX_ORDER)
-    scanned = {}  # canonical code -> (the graph f scanned for its class, f's scan)
-    fams = []
-    for g in graphs:
-        n = g.n
-        code, lab, *_ = _kernels.run_canon(g.adj, n)
-        if code not in scanned:
-            scan = _switch_orbit_codes(g)
-            scanned.update(dict.fromkeys(scan, (g, scan)))
-        f, scan = scanned[code]
-        s = 2 * scan.index(code)
-        # h's vertex at each position of its labeling goes to g's
-        phi = dict(zip(_kernels.run_canon(tuple(_switch_rows(f.adj, s)), n)[1], lab))
-        fams.append(_family(g, [sum(1 << phi[v] for v in range(n) if (s ^ 2 * k) >> v & 1)
-                                for k, c in enumerate(scan) if c == code]))
-    return fams
+    n = g.n
+    code, f, scan, _ = _class_scan(g)
+    # slot k holds the even mask 2k, whose complement switches the same way
+    s = 2 * scan.index(code)
+    # h's vertex at each position of its labeling goes to g's
+    lab = _kernels.run_canon(g.adj, n)[1]
+    phi = dict(zip(_kernels.run_canon(tuple(_switch_rows(f.adj, s)), n)[1], lab))
+    return _family(g, [sum(1 << phi[v] for v in range(n) if (s ^ 2 * k) >> v & 1)
+                       for k, c in enumerate(scan) if c == code])
 
 
 def _family(g: Graph, half: list[int]) -> IssFamily:

@@ -20,7 +20,7 @@ classes suite names each graph's class by its two-graph key
 (_kernels.two_graph_orbits), with no search.  The oracles that check
 the batch stay on the single search: the iso suite's relabelings, the
 iss suite's spot check and singleton verdicts (its families come from
-one switch-orbit scan per switching class, iss._iss_families),
+one switch-orbit scan per switching class, iso._class_scan),
 automorphism counts, orbits and generators, the search of Aut(core) in
 condition_ii and the constructions.
 """
@@ -66,11 +66,11 @@ from .iso import (
 )
 from .iss import (
     _edge_reports,
-    _iss_families,
     core_neighborhoods_partition,
     degree_extremes_adjacent,
     edge_iss_direct,
     is_iss,
+    iss_family,
     vertex_iss_set,
 )
 from .switching import switch_sequence, switch_set, switch_vertex
@@ -277,8 +277,8 @@ def suite_iss(max_order: int) -> SuiteResult:
     premise = 0
     closure_fails = 0
     for n, reps in _reps_upto(max_order):
-        fams = _iss_families(reps)
-        for g, fam in zip(reps, fams):
+        for g in reps:
+            fam = iss_family(g)
             g6 = to_graph6(g)
             masks = {m.mask for m in fam.members}
             full = (1 << n) - 1

@@ -108,6 +108,25 @@ def iss_counts(graphs, n: int) -> list[int]:
     return counts
 
 
+def own_scan(g: Graph) -> tuple[int, ...]:
+    """g's own switch-orbit scan, straight from the kernel, past the class cache."""
+    code, _, _, _, gens = _kernels.run_canon(g.adj, g.n)
+    return _kernels.switch_orbit_scan(g.adj, g.n, code, gens)
+
+
+def scan_family_masks(g: Graph) -> list[int]:
+    """g's identity switches, sorted, from g's own scan: the even masks 2k
+    whose slot holds g's code, and their complements."""
+    scan = own_scan(g)
+    half = [2 * k for k, c in enumerate(scan) if c == scan[0]]
+    return sorted(half + [m ^ ((1 << g.n) - 1) for m in half])
+
+
+def scan_class_codes(g: Graph) -> tuple[int, ...]:
+    """The distinct codes of g's own scan, ascending: its switching class."""
+    return tuple(sorted(set(own_scan(g))))
+
+
 def labeled_components(n: int) -> dict:
     """Labeled census by grouping every representative by its two-graph.
 

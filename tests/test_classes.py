@@ -13,6 +13,7 @@ from seidelkit import (
     classes,
     complement,
     from_graph6,
+    iso,
     make_graph,
     switch_set,
     to_graph6,
@@ -28,7 +29,6 @@ from seidelkit.invariants import seidel_char_poly
 from seidelkit.iso import (
     SWITCH_SCAN_MAX_ORDER,
     _forms,
-    _switch_orbit_codes,
     automorphism_count,
     canonical_form,
     canonical_graph,
@@ -88,7 +88,7 @@ def test_switching_class_matches_the_forms_of_its_scan():
             perm = list(range(n))
             rng.shuffle(perm)
             h = relabel(g, tuple(perm))
-            forms = frozenset(_forms(n, _switch_orbit_codes(g)))
+            forms = frozenset(_forms(n, oracles.own_scan(g)))
             sc = switching_class(g)
             assert "members" not in vars(sc)  # built when first read
             assert sc.size == len(forms)
@@ -288,7 +288,7 @@ def test_most_symmetric_order_ten_classes_finish_quickly():
     # n // 2 + 1 members each, scanned with the largest groups of order 10
     n = SWITCH_SCAN_MAX_ORDER
     for g in (complete(n), empty(n)):
-        _switch_orbit_codes.cache_clear()
+        iso._CLASS_SCANS.clear()
         _kernels.run_canon.cache_clear()
         t = time.perf_counter()
         sc = switching_class(g)

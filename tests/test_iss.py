@@ -5,7 +5,7 @@ import time
 import pytest
 
 import oracles
-from seidelkit import _kernels, iss
+from seidelkit import _kernels, iso, iss
 from seidelkit import VertexSet, from_graph6, make_graph, relabel, switch_set, switch_vertex
 from seidelkit.classes import census, switching_class
 from seidelkit.generators import (
@@ -199,13 +199,11 @@ def test_family_members_are_exactly_the_identity_switches():
 
 def test_family_sizes_match_the_search_free_count():
     # the orbit-stabilizer count, which runs no canonical search, against
-    # the one-graph family, the iss suite's class-scan families and the
-    # census's extremes, on every graph of orders 2-7
+    # the family and the census's extremes, on every graph of orders 2-7
     for n in range(2, 8):
         graphs = nonisomorphic_graphs(n)
         want = oracles.iss_counts(graphs, n)
         assert [iss_family(g).size for g in graphs] == want
-        assert [fam.size for fam in iss._iss_families(graphs)] == want
         records = census(n)
         where = {cf: r.class_id for r in records for cf in switching_class(from_graph6(r.rep_g6)).members}
         by_class = {}
@@ -357,6 +355,36 @@ def test_most_symmetric_order_ten_graph_finishes_quickly():
     assert len(reports) == 45 and all(r.agree for r in reports)
 
 
+def _from_networkx(h):
+    return make_graph(h.number_of_nodes(), list(h.edges()))
+
+
+def test_less_symmetric_bounds_finish_quickly():
+    # the documented bounds on inputs that are neither complete, empty nor
+    # complete bipartite: a cold family and class at order 10, and a cold
+    # canonical form and every edge's conditions at order 12
+    nx = pytest.importorskip("networkx")
+    for h in (nx.petersen_graph(), nx.complete_multipartite_graph(3, 3, 4)):
+        g = _from_networkx(h)
+        iso._CLASS_SCANS.clear()
+        _kernels.run_canon.cache_clear()
+        t = time.perf_counter()
+        fam = iss_family(g)
+        sc = switching_class(g)
+        assert time.perf_counter() - t < 1.0
+        assert [m.mask for m in fam.members] == oracles.scan_family_masks(g)
+        assert sc.codes == oracles.scan_class_codes(g)
+    regular = [nx.random_regular_graph(d, 12, seed=d) for d in (3, 5)]
+    for h in (nx.icosahedral_graph(), *regular):
+        g = _from_networkx(h)
+        _kernels.run_canon.cache_clear()
+        t = time.perf_counter()
+        canonical_form(g)
+        reports = [edge_iss_conditions(g, x, y) for x, y in g.edges()]
+        assert time.perf_counter() - t < 1.0
+        assert len(reports) == h.number_of_edges()
+
+
 def test_core_partition_fails_even_when_conditions_hold():
     g = from_graph6("CT")  # triangle plus isolated vertex
     assert g.edges() == [(0, 2), (0, 3), (2, 3)]
@@ -442,8 +470,8 @@ def test_edge_reports_match_the_single_graph_route():
     assert iss._edge_reports([]) == []
 
 
-def test_class_scan_families_match_one_graph_families():
-    # every graph of orders 1-7, one call per order; and at orders 8-10 a
+def _class_groups():
+    # every graph of orders 1-7, one group per order; and at orders 8-10 a
     # graph with many identity switches followed by seeded random
     # relabelings of five of its switches, so the map from each member's
     # switched first graph onto the member is not the identity
@@ -457,16 +485,64 @@ def test_class_scan_families_match_one_graph_families():
             rng.shuffle(perm)
             members.append(relabel(switch_set(g, VertexSet(n, rng.randrange(1 << n))), tuple(perm)))
         groups.append(members)
-    for graphs in groups:
-        assert iss._iss_families(graphs) == [iss_family(g) for g in graphs]
-    assert iss._iss_families([]) == []
+    return groups
 
 
-def test_class_scan_families_refuse_mixed_and_large_orders():
-    with pytest.raises(ValueError):
-        iss._iss_families([empty(7), empty(8)])
-    with pytest.raises(ValueError):
-        iss._iss_families([empty(SWITCH_SCAN_MAX_ORDER + 1)] * 2)
+def _assert_own_scan(g):
+    # the family and the class from the class cache equal those of g's own scan
+    fam = iss_family(g)
+    assert fam.graph == g
+    assert [m.mask for m in fam.members] == oracles.scan_family_masks(g)
+    assert switching_class(g).codes == oracles.scan_class_codes(g)
+
+
+def test_families_and_classes_match_their_own_scans():
+    # each group from a cold cache, last graph first, so most graphs read a
+    # class that another member's scan put in the cache
+    mapped = 0
+    for graphs in _class_groups():
+        iso._CLASS_SCANS.clear()
+        for g in reversed(graphs):
+            _assert_own_scan(g)
+            mapped += iso._class_scan(g)[1] != g
+    assert mapped > 1000
+
+
+def test_one_scan_per_class(monkeypatch):
+    # from a cold cache the order-7 families and census(7) scan each of
+    # the 54 classes once, and relabeled switches of every graph scan none
+    scans = _counting(monkeypatch, _kernels, "switch_orbit_scan")
+    iso._CLASS_SCANS.clear()
+    reps = nonisomorphic_graphs(7)
+    for g in reps:
+        iss_family(g)
+    assert len(census(7)) == 54
+    assert len(scans) == 54
+    rng = random.Random(11)
+    repeats = []
+    for g in reps:
+        perm = list(range(7))
+        rng.shuffle(perm)
+        repeats.append(relabel(switch_set(g, VertexSet(7, rng.randrange(1 << 7))), tuple(perm)))
+    got = [([m.mask for m in iss_family(h).members], switching_class(h).codes) for h in repeats]
+    assert len(scans) == 54
+    assert got == [(oracles.scan_family_masks(h), oracles.scan_class_codes(h)) for h in repeats]
+
+
+def test_class_cache_keeps_its_cap(monkeypatch):
+    # a cap a little above the largest class of order 7 (36 codes) empties
+    # the cache many times over; the answers do not change
+    monkeypatch.setattr(iso, "_CLASS_SCAN_MAX_CODES", 40)
+    iso._CLASS_SCANS.clear()
+    clears = 0
+    for graphs in _class_groups()[:7]:
+        for g in graphs:
+            held = sum(map(len, iso._CLASS_SCANS.values()))
+            _assert_own_scan(g)
+            now = sum(map(len, iso._CLASS_SCANS.values()))
+            assert now <= 40
+            clears += now < held
+    assert clears > 20
 
 
 def test_family_order_bound():

@@ -14,7 +14,7 @@ import pytest
 from seidelkit import _kernels, complement, from_graph6, iso, iss, to_graph6, verify
 from seidelkit.classes import switching_class
 from seidelkit.generators import empty
-from seidelkit.iso import _switch_orbit_codes, canonical_form, nonisomorphic_graphs
+from seidelkit.iso import canonical_form, nonisomorphic_graphs
 
 
 def test_suite_result_check_counts_and_records_failures():
@@ -233,7 +233,7 @@ def test_suites_search_each_graph_once(monkeypatch):
         return real(rows, n)
 
     monkeypatch.setattr(_kernels, "_canon", counting)
-    _switch_orbit_codes.cache_clear()
+    iso._CLASS_SCANS.clear()
     iso._generated.cache_clear()
     _kernels.run_canon.cache_clear()
     for suite in (verify.suite_iss, verify.suite_edge_iss, verify.suite_classes):
@@ -278,7 +278,7 @@ def test_edge_suite_decides_each_edge_once(monkeypatch):
 
 def _counted_scans(monkeypatch):
     # the orders of the switch-orbit scans from here on, with both caches cold
-    _switch_orbit_codes.cache_clear()
+    iso._CLASS_SCANS.clear()
     _kernels.run_canon.cache_clear()
     real = _kernels.switch_orbit_scan
     calls = []
