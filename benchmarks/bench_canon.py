@@ -37,7 +37,16 @@ graphs repeat the rows of the graph as built:
   them searches each graph again; the median of REPEAT calls reads the
   warm ones;
 - `switch_set` per call on seeded random graphs of order 10, each with
-  a random subset.
+  a random subset;
+- `edge_iss_conditions` per edge, on every edge of seeded random graphs
+  at orders 8 and 10, in two variants: cold, the search memo and the
+  edge-verdict memo (`iss._EDGE_VERDICTS`, `clear_edges`) emptied before
+  each graph, and repeat, on a relabelled copy of each graph, whose
+  edges and canonical form are asked before the timing starts.  The
+  other layers empty both memos, so the first repeat call after them
+  searches each copy and computes its verdicts again; the median of
+  REPEAT calls reads the warm ones, whose keys any labelling of the
+  class would fill.
 
 Every output of the timed calls is hashed per side, and the run stops
 if the two digests differ, so both sides computed the same codes,
@@ -84,6 +93,7 @@ SCAN_GRAPHS = {6: 16, 8: 16, 10: 16}
 CLASS_GRAPHS = {8: 8, 10: 8}
 SWITCH_ORDER = 10
 SWITCH_CALLS = 256
+EDGE_GRAPHS = {8: 16, 10: 16}
 NONISO_ORDER = 7
 REPEAT = 5
 PAIRS = 20
@@ -204,7 +214,35 @@ def _layers(sk):
     calls = [(sk.Graph(n, _random_rows(sk, rng, n)), sk.VertexSet(n, rng.randrange(1 << n)))
              for _ in range(SWITCH_CALLS)]
     layers[f"switch_set_{n}_us"] = (1e6, SWITCH_CALLS, lambda: [sk.switch_set(g, s) for g, s in calls])
+
+    def edges(g):
+        return [sk.edge_iss_conditions(g, x, y) for x, y in g.edges()]
+
+    def edges_cold(g):
+        cold()
+        clear_edges(sk.iss)
+        return edges(g)
+
+    for n, count in EDGE_GRAPHS.items():
+        batch = [sk.Graph(n, _random_rows(sk, rng, n)) for _ in range(count)]
+        copies = []
+        for g in batch:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copies.append(sk.relabel(g, tuple(perm)))
+            edges(g)
+            sk.canonical_form(copies[-1])
+        per = sum(g.edge_count() for g in batch)
+        layers[f"edge_iss_conditions_random_{n}_cold_us"] = (
+            1e6, per, lambda batch=batch: [edges_cold(g) for g in batch])
+        layers[f"edge_iss_conditions_random_{n}_repeat_us"] = (
+            1e6, per, lambda copies=copies: [edges(h) for h in copies])
     return layers
+
+
+def clear_edges(iss):
+    """Empty the edge-verdict memo `iss._EDGE_VERDICTS` of a checkout that has one."""
+    getattr(iss, "_EDGE_VERDICTS", {}).clear()
 
 
 def clear_scans(iso):
@@ -336,7 +374,7 @@ def main(argv=None):
     if not args.crossover and not args.parent:
         ap.error("--parent is required unless --crossover is given")
     src = os.path.abspath(args.src)
-    units = ("_us microseconds per search or per switch, _ms milliseconds per scan, "
+    units = ("_us microseconds per search, per switch or per edge, _ms milliseconds per scan, "
              "per switching class or per crossover batch, _s seconds per call")
     if args.crossover:
         key, rec = "crossover", crossover(src)
@@ -345,7 +383,8 @@ def main(argv=None):
         rec.update({"random_graphs": {str(n): c for n, c in RANDOM_GRAPHS.items()},
                     "scan_graphs": {str(n): c for n, c in SCAN_GRAPHS.items()},
                     "class_graphs": {str(n): c for n, c in CLASS_GRAPHS.items()},
-                    "switch_calls": SWITCH_CALLS})
+                    "switch_calls": SWITCH_CALLS,
+                    "edge_graphs": {str(n): c for n, c in EDGE_GRAPHS.items()}})
     append(OUT, key, rec, units)
 
 

@@ -10,9 +10,9 @@ pair:
 - the switching-algebra sweep `algebra_sweep(1..5)`;
 - the invariants, classes, iss and edge-iss suites at order 6, the iso,
   invariants, classes, iss and edge-iss suites at order 7 and
-  `census(7)`, each call started with the search memo and the scan
-  cache cleared (`bench_canon.clear_scans`), so it times searches, not
-  cache hits.  An order-6 suite call takes 0.03-0.25 s, too short to
+  `census(7)`, each call started with the search memo, the scan cache
+  and the edge-verdict memo cleared (`bench_canon.clear_scans` and
+  `clear_edges`), so it times searches, not cache hits.  An order-6 suite call takes 0.03-0.25 s, too short to
   resolve 10% on a machine that changes speed; the order-7 calls of
   iso, classes, iss and edge-iss take about a second each.  The invariants sweep stops at order 6, so
   its order-7 layer repeats the order-6 work;
@@ -60,7 +60,7 @@ import statistics
 import subprocess
 import sys
 
-from bench_canon import SEED, _quartiles, append, clear_generation, clear_scans, pairs
+from bench_canon import SEED, _quartiles, append, clear_edges, clear_generation, clear_scans, pairs
 
 # order -> number of seeded random graphs timed at that order
 POLY_GRAPHS = {6: 256, 8: 256, 12: 64, 13: 32, 16: 16}
@@ -89,7 +89,7 @@ def _layers(sk):
     verify = importlib.import_module(f"{sk.__name__}.verify")
     # the graphs stay cached, the searches do not: a repeat would otherwise
     # time cache hits wherever the suite's searches fit in the cache
-    caches = (kernels.run_canon.cache_clear, lambda: clear_scans(iso))
+    caches = (kernels.run_canon.cache_clear, lambda: clear_scans(iso), lambda: clear_edges(sk.iss))
 
     def cold(call):
         def run():

@@ -47,4 +47,4 @@ def from_graph6(text: str) -> Graph:
     pad = 6 * need - npairs
     if code & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    return Graph(n, tuple(_upper_rows(n, code >> pad)))
+    return Graph._of(n, tuple(_upper_rows(n, code >> pad)))

@@ -8,18 +8,23 @@ only need the even-looking half of the subset lattice.
 A single switch is decided by is_isomorphic, where a switched graph
 whose sorted degree sequence differs from G's is "not isomorphic"
 before any canonical search; edge_iss_conditions likewise settles
-condition_ii when the two sets are equal, or differ in their core
-degrees, before it searches Aut(core).
+condition_ii when the two sets are equal, or differ in size or in
+their core degrees, before it searches Aut(core).  Its three verdicts
+depend only on the isomorphism class of G and on where the edge sits in
+it, so the process computes them once per class and canonical edge and
+keeps them in _EDGE_VERDICTS, emptied before it would pass
+_EDGE_VERDICTS_MAX entries.
 
 verify's edge sweep decides the three switches of every edge of a whole
 order at once in _edge_reports: the same degree guard, then one batched
 search for the codes (iso._isomorphic_pairs).  condition_ii there is
 edge_iss_conditions' own code, which searches Aut(core) one core at a
-time.  Every public function here keeps its one-graph route, and so
-does the iss suite's spot check and singleton verdicts, which run the
-single search.  iss_family reads its family off the switch-orbit scan
-of its switching class, which the process scans once (iso._class_scan),
-so the iss suite scans one graph per class.
+time; the sweep neither reads nor fills _EDGE_VERDICTS.  Every public
+function here keeps its one-graph route, and so does the iss suite's
+spot check and singleton verdicts, which run the single search.
+iss_family reads its family off the switch-orbit scan of its switching
+class, which the process scans once (iso._class_scan), so the iss suite
+scans one graph per class.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .graphs import Graph, VertexSet, _switch_rows, induced_subgraph
-from .iso import _class_scan, _isomorphic_pairs, automorphisms, is_isomorphic
+from .graphs import Graph, VertexSet, _check_bound, _switch_rows, induced_subgraph
+from .iso import CANONICAL_MAX_ORDER, _class_scan, _isomorphic_pairs, automorphisms, is_isomorphic
 from .switching import switch_set
 
 
@@ -139,7 +144,13 @@ def _core(g: Graph, x: int, y: int) -> int:
 
 def edge_iss_direct(g: Graph, x: int, y: int) -> bool:
     """Is switching by the edge pair {x, y} an identity switch?"""
-    return is_iss(g, VertexSet(g.n, _core(g, x, y)).complement())
+    _core(g, x, y)  # refuses a vertex out of range or a non-edge
+    return _direct(g, x, y)
+
+
+def _direct(g: Graph, x: int, y: int) -> bool:
+    # is_iss for the pair {x, y}, switched on the rows
+    return is_isomorphic(Graph._of(g.n, tuple(_switch_rows(g.adj, 1 << x | 1 << y))), g)
 
 
 @dataclass(frozen=True)
@@ -161,6 +172,14 @@ class EdgeIssReport:
         return self.direct == self.by_conditions
 
 
+# The edge verdicts: (n, canonical code, p, q) -> (direct, condition_i,
+# condition_ii) for the edge at canonical positions p < q.  The 1,504
+# queries of a query-mix run fill about 1,800 keys; an entry that would
+# pass the cap empties the dict first, as iso._CLASS_SCANS does.
+_EDGE_VERDICTS: dict[tuple[int, int, int, int], tuple[bool, bool, bool]] = {}
+_EDGE_VERDICTS_MAX = 1 << 12
+
+
 def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
     """Evaluate the edge identity-switch criterion for an edge xy.
 
@@ -168,28 +187,49 @@ def edge_iss_conditions(g: Graph, x: int, y: int) -> EdgeIssReport:
     condition_ii: some automorphism of the core (g with x and y removed)
     maps the core neighbors of x onto the core non-neighbors of y.  For
     order 2 the core is empty and the condition holds vacuously.
+
+    The three verdicts are those of every relabeled copy of g, and of
+    the arguments in either order: condition_ii for (y, x) asks for the
+    inverse of the automorphism that (x, y) asks for.  So they are
+    computed, on g itself, once per isomorphism class and unordered
+    canonical edge and read from _EDGE_VERDICTS after that.  A vertex out
+    of range, a non-edge and an order above CANONICAL_MAX_ORDER are
+    refused before the memo is read.
     """
-    direct = edge_iss_direct(g, x, y)  # raises ValueError for a non-edge
-    return EdgeIssReport(x, y, direct, *_conditions(g, x, y))
-
-
-def _conditions(g: Graph, x: int, y: int) -> tuple[bool, bool]:
-    # condition_i and condition_ii of edge_iss_conditions for the edge xy
     n = g.n
-    condition_i = g.degree(x) + g.degree(y) == n
     rest = _core(g, x, y)
+    _check_bound(n, CANONICAL_MAX_ORDER)
+    code, lab = _kernels.run_canon(g.adj, n)[:2]
+    p, q = sorted((lab.index(x), lab.index(y)))
+    key = (n, code, p, q)
+    verdicts = _EDGE_VERDICTS.get(key)
+    if verdicts is None:
+        verdicts = (_direct(g, x, y), *_conditions(g, x, y, rest))
+        if len(_EDGE_VERDICTS) >= _EDGE_VERDICTS_MAX:
+            _EDGE_VERDICTS.clear()
+        _EDGE_VERDICTS[key] = verdicts
+    return EdgeIssReport(x, y, *verdicts)
+
+
+def _conditions(g: Graph, x: int, y: int, rest: int) -> tuple[bool, bool]:
+    # condition_i and condition_ii of edge_iss_conditions for the edge xy,
+    # whose core mask is rest
+    n = g.n
+    condition_i = g.adj[x].bit_count() + g.adj[y].bit_count() == n
     a_mask = g.adj[x] & rest
     b_mask = rest & ~g.adj[y]
 
     def core_degrees(mask):
         return sorted((g.adj[v] & rest).bit_count() for v in range(n) if mask >> v & 1)
 
-    # the identity maps a set onto itself, and automorphisms keep core
-    # degrees, so both tests, read off g's rows, settle condition_ii
-    # before the core is built or searched
+    # the identity maps a set onto itself, and automorphisms keep sizes
+    # and core degrees, so these tests, read off g's rows, settle
+    # condition_ii before the core is built or searched.  The sets hold
+    # deg(x) - 1 and n - 1 - deg(y) vertices: their sizes differ exactly
+    # when condition_i fails
     if a_mask == b_mask:
         condition_ii = True
-    elif core_degrees(a_mask) != core_degrees(b_mask):
+    elif not condition_i or core_degrees(a_mask) != core_degrees(b_mask):
         condition_ii = False
     else:
         core, remap = induced_subgraph(g, VertexSet(n, rest))
@@ -232,8 +272,7 @@ def _derived_rows(g: Graph, x: int, y: int) -> tuple[tuple[int, ...], tuple[int,
 def _derived_verdicts(g: Graph, x: int, y: int) -> tuple[bool, bool]:
     # the verdicts for {x, y} on g minus xy and on g with its core flipped
     removed, flipped = _derived_rows(g, x, y)
-    s = VertexSet.from_indices(g.n, (x, y))
-    return is_iss(Graph._of(g.n, removed), s), is_iss(Graph._of(g.n, flipped), s)
+    return _direct(Graph._of(g.n, removed), x, y), _direct(Graph._of(g.n, flipped), x, y)
 
 
 def _edge_reports(graphs) -> list[list[tuple[EdgeIssReport, bool, bool]]]:
@@ -251,7 +290,8 @@ def _edge_reports(graphs) -> list[list[tuple[EdgeIssReport, bool, bool]]]:
             s = 1 << x | 1 << y
             pairs += [(rows, tuple(_switch_rows(rows, s))) for rows in (g.adj, *_derived_rows(g, x, y))]
     verdicts = iter(_isomorphic_pairs(pairs, graphs[0].n))
-    return [[(EdgeIssReport(x, y, next(verdicts), *_conditions(g, x, y)), next(verdicts), next(verdicts))
+    return [[(EdgeIssReport(x, y, next(verdicts), *_conditions(g, x, y, _core(g, x, y))),
+              next(verdicts), next(verdicts))
              for x, y in g.edges()] for g in graphs]
 
 

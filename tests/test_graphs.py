@@ -9,12 +9,14 @@ from seidelkit import (
     canonical_form,
     canonical_graph,
     complement,
+    from_graph6,
     graph_from_code,
     graph_to_code,
     induced_subgraph,
     make_graph,
     relabel,
     switch_set,
+    to_graph6,
 )
 from seidelkit.iso import _child, all_graphs
 from seidelkit.iss import complemented_core_agreement, edge_removed_agreement
@@ -141,7 +143,8 @@ def test_graph_is_hashable_value_type():
 def test_derived_graphs_pass_the_checks_they_skip(monkeypatch):
     # every graph the package builds with Graph._of, which skips the row
     # checks, must equal the graph Graph(...) builds from its rows with them;
-    # both edge remarks build theirs in iss._derived_verdicts
+    # both edge remarks build theirs in iss._derived_verdicts, and every edge
+    # verdict its switched graph in iss._direct
     wrap = Graph._of
     built = {}
 
@@ -165,6 +168,7 @@ def test_derived_graphs_pass_the_checks_they_skip(monkeypatch):
         relabel(g, tuple(perm))
         induced_subgraph(g, VertexSet(n, rng.randrange(1, 1 << n)))
         graph_from_code(n, graph_to_code(g))
+        from_graph6(to_graph6(g))
         canonical_graph(canonical_form(g))
         if n < 12:
             _child(g, rng.randrange(1 << n))
@@ -174,7 +178,7 @@ def test_derived_graphs_pass_the_checks_they_skip(monkeypatch):
             complemented_core_agreement(g, x, y)
     assert set(built) == {
         "complement", "switch_set", "relabel", "induced_subgraph", "graph_from_code",
-        "canonical_graph", "_child", "_derived_verdicts",
+        "canonical_graph", "_child", "_derived_verdicts", "from_graph6", "_direct",
     }
     for hs in built.values():
         for h in hs:

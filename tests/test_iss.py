@@ -111,6 +111,7 @@ def test_is_iss_skips_the_search_when_degrees_differ(monkeypatch):
 
 
 def test_condition_ii_skips_the_core_when_sizes_differ(monkeypatch):
+    iss._EDGE_VERDICTS.clear()
     cores = _counting(monkeypatch, iss, "induced_subgraph")
     groups = _counting(monkeypatch, iss, "automorphisms")
     # P4, edge 01: the core {2, 3} holds no neighbor of 0 but one
@@ -130,6 +131,7 @@ def test_condition_ii_skips_the_core_when_sizes_differ(monkeypatch):
 
 
 def test_condition_ii_skips_the_core_when_core_degrees_differ(monkeypatch):
+    iss._EDGE_VERDICTS.clear()
     cores = _counting(monkeypatch, iss, "induced_subgraph")
     # edge 03: the core {1, 2, 4} holds the neighbor 4 of 0, of core
     # degree 1, and the non-neighbor 2 of 3, of core degree 0
@@ -165,6 +167,127 @@ def test_condition_ii_matches_brute_force_through_order_seven():
                         edges += 1
                         assert edge_iss_conditions(g, x, y).condition_ii == _brute_condition_ii(g, x, y, groups)
     assert edges == 12_342
+
+
+def _uncached(g, x, y):
+    # the three verdicts of edge_iss_conditions computed on g itself
+    return iss._direct(g, x, y), *iss._conditions(g, x, y, iss._core(g, x, y))
+
+
+def _verdicts(r):
+    return r.direct, r.condition_i, r.condition_ii
+
+
+def _asked_copies(n, rng):
+    # every graph of order n, as three seeded relabelings, a switched
+    # relabeling and itself; every graph's first relabeling comes first, so
+    # the others read entries that another labeling of their class filled
+    copies = []
+    for g in nonisomorphic_graphs(n):
+        hs = []
+        for k in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = switch_set(g, VertexSet(n, rng.randrange(1 << n))) if k == 3 else g
+            hs.append(relabel(h, tuple(perm)))
+        copies.append(hs + [g])
+    return [hs[0] for hs in copies] + [h for hs in copies for h in hs[1:]]
+
+
+def test_edge_verdicts_match_the_uncached_computation():
+    # every edge, in both argument orders, of every graph of orders 2-7 and
+    # of four copies of each, against the computation on the graph itself;
+    # through order 6 condition_ii also against the permutation scan
+    rng = random.Random(35)
+    groups = {}
+    iss._EDGE_VERDICTS.clear()
+    calls = 0
+    for n in range(2, 8):
+        for h in _asked_copies(n, rng):
+            for x, y in h.edges():
+                for a, b in ((x, y), (y, x)):
+                    r = edge_iss_conditions(h, a, b)
+                    assert (r.x, r.y) == (a, b)
+                    assert _verdicts(r) == _uncached(h, a, b)
+                    if n < 7:
+                        assert r.condition_ii == _brute_condition_ii(h, a, b, groups)
+                    calls += 1
+    assert calls == 123_502
+
+
+def test_a_relabeled_copy_reads_its_class_entries(monkeypatch):
+    # once every edge of g is answered in one argument order, every edge of
+    # a relabeled copy is answered in both orders without a verdict or a
+    # search, once the copy's canonical form is known
+    rng = random.Random(36)
+    iss._EDGE_VERDICTS.clear()
+    graphs = [g for n in range(2, 8) for g in nonisomorphic_graphs(n)[::5]]
+    for n in range(8, 11):
+        graphs += [make_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+                   for _ in range(8)]
+    for g in graphs:
+        for x, y in g.edges():
+            edge_iss_conditions(g, x, y)
+    copies = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copies.append(relabel(g, tuple(perm)))
+        canonical_form(copies[-1])
+    spies = [_counting(monkeypatch, iss, "_direct"), _counting(monkeypatch, iss, "_conditions"),
+             _counting(monkeypatch, _kernels, "_canon")]
+    asked = 0
+    for h in copies:
+        for x, y in h.edges():
+            for a, b in ((x, y), (y, x)):
+                assert edge_iss_conditions(h, a, b).x == a
+                asked += 1
+    assert asked > 1000
+    assert spies == [[], [], []]
+
+
+def test_edge_memo_keeps_its_cap(monkeypatch):
+    # a cap of 16 entries empties the memo many times over; the answers do
+    # not change
+    monkeypatch.setattr(iss, "_EDGE_VERDICTS_MAX", 16)
+    iss._EDGE_VERDICTS.clear()
+    rng = random.Random(37)
+    clears = 0
+    for n in (4, 5, 6):
+        for h in _asked_copies(n, rng):
+            for x, y in h.edges():
+                held = len(iss._EDGE_VERDICTS)
+                assert _verdicts(edge_iss_conditions(h, x, y)) == _uncached(h, x, y)
+                now = len(iss._EDGE_VERDICTS)
+                assert now <= 16
+                clears += now < held
+    assert clears > 20
+
+
+def test_edge_checks_come_before_the_memo(monkeypatch):
+    # entries planted under the keys that a non-edge and an order above the
+    # bound would read, and a class whose edges are all held, never answer
+    # for a vertex out of range, a non-edge or a graph above the bound
+    monkeypatch.setattr(iss, "_EDGE_VERDICTS", {})
+
+    def plant(g, x, y):
+        code, lab = _kernels.run_canon(g.adj, g.n)[:2]
+        iss._EDGE_VERDICTS[(g.n, code, *sorted((lab.index(x), lab.index(y))))] = (True, True, True)
+
+    g = path(4)
+    for x, y in g.edges():
+        edge_iss_conditions(g, x, y)
+    plant(g, 0, 2)
+    for x, y in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="not an edge"):
+            edge_iss_conditions(g, x, y)
+    for x, y in ((0, 4), (4, 3), (-1, 0)):
+        with pytest.raises(IndexError):
+            edge_iss_conditions(g, x, y)
+    big = path(CANONICAL_MAX_ORDER + 1)
+    plant(big, 0, 1)
+    with pytest.raises(ValueError, match="bound"):
+        edge_iss_conditions(big, 0, 1)
 
 
 def test_family_on_three_path():
