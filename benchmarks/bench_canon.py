@@ -6,12 +6,14 @@ in turn, alternating which side goes first, over PAIRS pairs.  Separate processe
 shared machine spread 20-30% from one another, more than the ~10%
 per-layer bound; interleaved in one process, the pairs resolve a few
 percent.  `pairs` and `append` hold that protocol for this script and
-`bench_sweeps.py` alike.  Both checkouts need the search memo
-`_kernels.run_canon` (c930242 or later).  The layers, each the median
-of REPEAT calls per pair, with the memo cleared before each graph's
-search or scan and each generation, so every call times searches, not
-the answers for a graph met before; the relabelled complete and empty
-graphs repeat the rows of the graph as built:
+`bench_sweeps.py` alike.  Both checkouts need the edge-verdict memo
+`iss._EDGE_VERDICTS` (a93eae0 or later), the last answer cache that
+`clear_answers` empties by hand in a checkout without
+`_kernels.clear_caches`.  The layers, each the median of REPEAT calls
+per pair, with the search memo cleared before each graph's search or
+scan and each generation, so every call times searches, not the answers
+for a graph met before; the relabelled complete and empty graphs repeat
+the rows of the graph as built:
 
 - `_kernels.run_canon` per graph on 16 fixed seeded uniform random
   graphs (edge probability 1/2) at each of orders 8, 10 and 12, and on
@@ -26,22 +28,21 @@ graphs repeat the rows of the graph as built:
   the graph's own search, the `run_canon` call that hands the scan its
   root code and generators;
 - a cold `nonisomorphic_graphs(7)`, the search memo and the generation
-  caches cleared before each call (`clear_generation`);
+  table `iso._generated` cleared before each call;
 - `switching_class` per graph on seeded random graphs at orders 8 and
   10, reading the representative and the size as a query does, with
   each graph's class scanned before the timing starts and no layer
-  emptying the scan cache (`clear_scans`), so each call times only what
-  the class does after its scan.  A checkout that keys its classes by
-  canonical code (`iso._CLASS_SCANS`) looks each graph's code up in the
-  search memo, which the other layers clear, so its first call after
-  them searches each graph again; the median of REPEAT calls reads the
-  warm ones;
+  emptying the class scans (`iso._CLASS_SCANS`), so each call times
+  only what the class does after its scan.  Each call looks the graph's
+  code up in the search memo, which the other layers clear, so its
+  first call after them searches each graph again; the median of REPEAT
+  calls reads the warm ones;
 - `switch_set` per call on seeded random graphs of order 10, each with
   a random subset;
 - `edge_iss_conditions` per edge, on every edge of seeded random graphs
   at orders 8 and 10, in two variants: cold, the search memo and the
-  edge-verdict memo (`iss._EDGE_VERDICTS`, `clear_edges`) emptied before
-  each graph, and repeat, on a relabelled copy of each graph, whose
+  edge-verdict memo (`iss._EDGE_VERDICTS`) emptied before each graph,
+  and repeat, on a relabelled copy of each graph, whose
   edges and canonical form are asked before the timing starts.  The
   other layers empty both memos, so the first repeat call after them
   searches each copy and computes its verdicts again; the median of
@@ -159,6 +160,7 @@ def _layers(sk):
     gen = sk.generators
     rng = random.Random(SEED)
     kernels, iso = sk._kernels, sk.iso
+    # the search memo alone: the class scans stay warm for the switching_class layers
     cold = kernels.run_canon.cache_clear
     layers = {}
 
@@ -197,7 +199,7 @@ def _layers(sk):
 
     def noniso():
         cold()
-        clear_generation(iso)
+        iso._generated.cache_clear()
         return [sk.to_graph6(g) for g in iso.nonisomorphic_graphs(NONISO_ORDER)]
 
     layers[f"nonisomorphic_graphs_{NONISO_ORDER}_cold_s"] = (1.0, 1, noniso)
@@ -220,7 +222,7 @@ def _layers(sk):
 
     def edges_cold(g):
         cold()
-        clear_edges(sk.iss)
+        sk.iss._EDGE_VERDICTS.clear()  # and the edge verdicts, still not the class scans
         return edges(g)
 
     for n, count in EDGE_GRAPHS.items():
@@ -240,32 +242,15 @@ def _layers(sk):
     return layers
 
 
-def clear_edges(iss):
-    """Empty the edge-verdict memo `iss._EDGE_VERDICTS` of a checkout that has one."""
-    getattr(iss, "_EDGE_VERDICTS", {}).clear()
-
-
-def clear_scans(iso):
-    """Empty the scan cache of either checkout: the class scans
-    `iso._CLASS_SCANS`, or the per-graph `iso._switch_orbit_codes` of
-    checkouts before them."""
-    if hasattr(iso, "_CLASS_SCANS"):
-        iso._CLASS_SCANS.clear()
+def clear_answers(sk):
+    """Empty every answer cache of the checkout sk: `_kernels.clear_caches()`,
+    or in a checkout from before it, its three answer caches by hand."""
+    if hasattr(sk._kernels, "clear_caches"):
+        sk._kernels.clear_caches()
     else:
-        iso._switch_orbit_codes.cache_clear()
-
-
-def clear_generation(iso):
-    """Clear every lru_cache of the iso module but the scan cache.
-
-    The generation caches differ in name and number between checkouts,
-    so each side clears what it has, and neither is timed warm.  The
-    switching_class layers keep the scan cache warm on purpose; callers
-    that want it cold call clear_scans.
-    """
-    for name, obj in vars(iso).items():
-        if hasattr(obj, "cache_clear") and name != "_switch_orbit_codes":
-            obj.cache_clear()
+        sk._kernels.run_canon.cache_clear()
+        sk.iso._CLASS_SCANS.clear()
+        sk.iss._EDGE_VERDICTS.clear()
 
 
 def _digest(layers):
@@ -335,7 +320,7 @@ def append(out, key, rec, units):
 def crossover(src):
     sk = _load(src, "seidelkit")
     kernels = sk._kernels
-    cold = kernels.run_canon.cache_clear
+    cold = kernels.clear_caches
 
     def search_codes(stack, n):
         cold()

@@ -3,26 +3,25 @@
 Times the same layers on two checkouts in one process, in PAIRS
 alternating pairs, through `bench_canon.pairs`: separate processes on a
 shared machine spread 20-30% from one another, more than the ~10%
-per-layer bound.  Both checkouts need the search memo `_kernels.run_canon`
-(c930242 or later).  The layers, each the median of REPEAT calls per
-pair:
+per-layer bound.  Both checkouts must be at a93eae0 or later, so that
+`bench_canon.clear_answers` finds every answer cache, the edge-verdict
+memo among them.  The layers, each the median of REPEAT calls per pair:
 
 - the switching-algebra sweep `algebra_sweep(1..5)`;
 - the invariants, classes, iss and edge-iss suites at order 6, the iso,
   invariants, classes, iss and edge-iss suites at order 7 and
-  `census(7)`, each call started with the search memo, the scan cache
-  and the edge-verdict memo cleared (`bench_canon.clear_scans` and
-  `clear_edges`), so it times searches, not cache hits.  An order-6 suite call takes 0.03-0.25 s, too short to
+  `census(7)`, each call started with every answer cache emptied
+  (`bench_canon.clear_answers`): the search memo, the class scans and
+  the edge verdicts, so it times searches, not cache hits.  An order-6 suite call takes 0.03-0.25 s, too short to
   resolve 10% on a machine that changes speed; the order-7 calls of
   iso, classes, iss and edge-iss take about a second each.  The invariants sweep stops at order 6, so
   its order-7 layer repeats the order-6 work;
 - the families of the 1,044 representatives of order 7, the iss
   suite's families without its spot check, cold like the suites:
-  `iss_family` of each, or `iss._iss_families` in checkouts that have
-  it;
+  `iss_family` of each;
 - one `run_suites("all", 6)`, the whole of `verify --suite all`, which
   may fork worker processes, started with the same caches and the
-  generation caches cleared (`bench_canon.clear_generation`);
+  generation table `iso._generated` cleared;
 - the exact Seidel polynomial per graph of POLY_GRAPHS seeded random
   graphs at orders 6, 8, 12, 13 and 16, both batched and as a batch of
   one.
@@ -60,7 +59,7 @@ import statistics
 import subprocess
 import sys
 
-from bench_canon import SEED, _quartiles, append, clear_edges, clear_generation, clear_scans, pairs
+from bench_canon import SEED, _quartiles, append, clear_answers, pairs
 
 # order -> number of seeded random graphs timed at that order
 POLY_GRAPHS = {6: 256, 8: 256, 12: 64, 13: 32, 16: 16}
@@ -89,12 +88,9 @@ def _layers(sk):
     verify = importlib.import_module(f"{sk.__name__}.verify")
     # the graphs stay cached, the searches do not: a repeat would otherwise
     # time cache hits wherever the suite's searches fit in the cache
-    caches = (kernels.run_canon.cache_clear, lambda: clear_scans(iso), lambda: clear_edges(sk.iss))
-
     def cold(call):
         def run():
-            for clear in caches:
-                clear()
+            clear_answers(sk)
             return call()
 
         return run
@@ -113,14 +109,12 @@ def _layers(sk):
         layers[f"suite_{name}_7_s"] = (1.0, 1, suite(name, 7))
 
     def verify_all():
-        clear_generation(iso)
+        iso._generated.cache_clear()
         return [(r.suite, r.lines, r.checks, r.violations, r.findings)
                 for r in verify.run_suites("all", 6)]
 
     reps7 = iso.nonisomorphic_graphs(7)
-    iss = importlib.import_module(f"{sk.__name__}.iss")
-    families = getattr(iss, "_iss_families", lambda graphs: [iss.iss_family(g) for g in graphs])
-    layers["iss_families_7_s"] = (1.0, 1, cold(lambda: families(reps7)))
+    layers["iss_families_7_s"] = (1.0, 1, cold(lambda: [sk.iss_family(g) for g in reps7]))
     layers["verify_all_6_s"] = (1.0, 1, cold(verify_all))
     layers["census_7_s"] = (1.0, 1, cold(lambda: sk.classes.census(7)))
     single, batched = sk.invariants.seidel_char_poly, sk.invariants.seidel_char_polys

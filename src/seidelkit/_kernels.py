@@ -28,7 +28,9 @@ int64; past it the batch refuses, and its callers stay within it
 (iso.GENERATION_MAX_ORDER, iso.SWITCH_SCAN_MAX_ORDER and
 verify.SWEEP_CAP).  Each single search goes through run_canon, a memo
 keyed by the rows, so a graph that a scan, a reader and a suite all
-meet is searched once; batch codes never enter it.
+meet is searched once; batch codes never enter it.  clear_caches()
+empties it and the other answer caches, iso._CLASS_SCANS and
+iss._EDGE_VERDICTS, each registered in _CACHE_CLEARS where it is defined.
 
 A stack of graphs is a (graphs, n) int64 array of rows, as the
 two-graph kernels take it; switching it by subset s XORs in row s of
@@ -255,6 +257,17 @@ def run_canon(rows, n):
     another reader, scan or suite is searched once.
     """
     return _canon(rows, n)
+
+
+# The clear of each answer cache, appended where the cache is defined; the
+# static tables _order_tables, _switch_pattern and iso._generated stay.
+_CACHE_CLEARS = [run_canon.cache_clear]
+
+
+def clear_caches():
+    """Empty every answer cache registered in _CACHE_CLEARS, so the next call starts cold."""
+    for clear in _CACHE_CLEARS:
+        clear()
 
 
 # the largest target cell that the batched search expands: an unpruned

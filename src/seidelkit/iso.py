@@ -22,7 +22,7 @@ from .graphs import Graph, Permutation, _check_bound, _upper_rows, graph_from_co
 CANONICAL_MAX_ORDER = 12
 # one switch-orbit scan searches up to 2^(n-1) switches of its graph
 SWITCH_SCAN_MAX_ORDER = 10
-# order 8 holds 12,346 isomorphism classes and generates in 1.4-2.0 s
+# order 8 holds 12,346 isomorphism classes and generates in 1.0-1.2 s
 # cold (benchmarks/BENCH_sweeps.json); order 9 holds 274,668 and took 35 s
 # and 297 MB
 GENERATION_MAX_ORDER = 8
@@ -67,10 +67,11 @@ def _canon_record(g: Graph) -> tuple:
 # The class scans: order -> canonical code -> (f, f's scan, the class's
 # sorted codes), every code of one scan naming the same entry.  One scan
 # answers every member of f's switching class, however labeled or
-# switched, so a class is scanned once per process until the codes held
-# would pass _CLASS_SCAN_MAX_CODES, when the cache is emptied first.  Int
-# keys in one dict per order take about half the memory of (n, code) keys.
+# switched, so a class is scanned once until _kernels.clear_caches() or
+# the codes held would pass _CLASS_SCAN_MAX_CODES, which empties it first.
+# Int keys in one dict per order take about half the memory of (n, code) keys.
 _CLASS_SCANS: dict[int, dict[int, tuple]] = {}
+_kernels._CACHE_CLEARS.append(lambda: _CLASS_SCANS.clear())
 _CLASS_SCAN_MAX_CODES = 1 << 16
 # a class of order n holds at most 2^(n-1) codes, so any one class fits
 assert 1 << (SWITCH_SCAN_MAX_ORDER - 1) <= _CLASS_SCAN_MAX_CODES

@@ -13,7 +13,7 @@ their core degrees, before it searches Aut(core).  Its three verdicts
 depend only on the isomorphism class of G and on where the edge sits in
 it, so the process computes them once per class and canonical edge and
 keeps them in _EDGE_VERDICTS, emptied before it would pass
-_EDGE_VERDICTS_MAX entries.
+_EDGE_VERDICTS_MAX entries and by _kernels.clear_caches().
 
 verify's edge sweep decides the three switches of every edge of a whole
 order at once in _edge_reports: the same degree guard, then one batched
@@ -177,6 +177,7 @@ class EdgeIssReport:
 # queries of a query-mix run fill about 1,800 keys; an entry that would
 # pass the cap empties the dict first, as iso._CLASS_SCANS does.
 _EDGE_VERDICTS: dict[tuple[int, int, int, int], tuple[bool, bool, bool]] = {}
+_kernels._CACHE_CLEARS.append(lambda: _EDGE_VERDICTS.clear())
 _EDGE_VERDICTS_MAX = 1 << 12
 
 

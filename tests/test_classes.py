@@ -13,7 +13,6 @@ from seidelkit import (
     classes,
     complement,
     from_graph6,
-    iso,
     make_graph,
     switch_set,
     to_graph6,
@@ -288,8 +287,7 @@ def test_most_symmetric_order_ten_classes_finish_quickly():
     # n // 2 + 1 members each, scanned with the largest groups of order 10
     n = SWITCH_SCAN_MAX_ORDER
     for g in (complete(n), empty(n)):
-        iso._CLASS_SCANS.clear()
-        _kernels.run_canon.cache_clear()
+        _kernels.clear_caches()
         t = time.perf_counter()
         sc = switching_class(g)
         assert time.perf_counter() - t < 1.0

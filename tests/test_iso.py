@@ -285,7 +285,7 @@ def test_order_bounds_enforced():
     with pytest.raises(ValueError):
         similarity_orbits(big)
     # every reader accepts the search's own bound, even on the largest groups
-    _kernels.run_canon.cache_clear()
+    _kernels.clear_caches()
     for g in (empty(CANONICAL_MAX_ORDER), complete(CANONICAL_MAX_ORDER)):
         t = time.perf_counter()
         assert automorphisms(g).order == math.factorial(CANONICAL_MAX_ORDER)
@@ -318,7 +318,7 @@ def test_one_search_answers_every_reader(monkeypatch):
         return search(rows, n)
 
     monkeypatch.setattr(_kernels, "_canon", counted)
-    _kernels.run_canon.cache_clear()
+    _kernels.clear_caches()
     g = prism_c3p2()
     canonical_form(g)
     canonical_labeling(g)

@@ -1,15 +1,18 @@
 """Exercises the kernels directly against the object layer."""
 
 import hashlib
+import importlib
 import itertools
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
 import oracles
+import seidelkit
 from seidelkit import VertexSet, make_graph, nonisomorphic_graphs, relabel, switch_set, to_graph6
-from seidelkit import _kernels, iso
+from seidelkit import _kernels, iso, verify
 from seidelkit._kernels import algebra_sweep, run_canon, switch_orbit_scan, two_graphs
 from seidelkit.generators import complete, complete_bipartite, cube_q3, cycle, empty, prism_c3p2
 from seidelkit.graphs import Graph, graph_from_code, graph_to_code
@@ -156,13 +159,55 @@ def test_codes_match_the_single_search(monkeypatch):
     for distinct in (_kernels._SCAN_BATCH_MIN - 1, _kernels._SCAN_BATCH_MIN, 40):
         graphs = wide + [_random_graph(rng, 8).adj for _ in range(distinct - 2)]
         graphs += graphs[::3]
-        run_canon.cache_clear()
+        _kernels.clear_caches()
         assert _kernels._codes(graphs, 8) == [_kernels._canon(rows, 8)[0] for rows in graphs]
         assert run_canon.cache_info().currsize == (2 if distinct >= _kernels._SCAN_BATCH_MIN else distinct)
     # an empty input, as a list or as a stack, runs no batch
     assert _kernels._codes([], 8) == []
     assert _kernels._search_codes(np.zeros((0, 8), dtype=np.int64), 8) == []
     assert batched == [_kernels._SCAN_BATCH_MIN, 40]
+
+
+# the tables that clear_caches() keeps: fixed per order, not answers
+STATIC_TABLES = {"_kernels._order_tables", "_kernels._switch_pattern", "iso._generated"}
+
+
+def _containers():
+    # name -> (use, size) of every module-level dict, list and set of the
+    # package (its size twice) and of every lru_cache it defines (its calls
+    # and its size)
+    out = {}
+    for info in pkgutil.iter_modules(seidelkit.__path__):
+        module = importlib.import_module(f"seidelkit.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, (dict, list, set)) and not name.startswith("__"):
+                out[f"{info.name}.{name}"] = (len(obj), len(obj))
+            elif hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                hits, misses, _, size = obj.cache_info()
+                out[f"{info.name}.{name}"] = (hits + misses, size)
+    return out
+
+
+def test_clear_caches_empties_every_cache_a_workload_fills():
+    # every container of the package that the query-mix calls, census(5)
+    # and the iss suite use is an answer cache, which clear_caches() empties,
+    # or one of the static tables; so a new cache cannot miss the registry
+    before = _containers()
+    rng = random.Random(36)
+    for n in range(6, 11):
+        g = _random_graph(rng, n)
+        for query in (seidelkit.canonical_form, seidelkit.automorphism_count, seidelkit.seidel_char_poly,
+                      seidelkit.iss_family, seidelkit.switching_class):
+            query(g)
+        for x, y in g.edges():
+            seidelkit.edge_iss_conditions(g, x, y)
+    seidelkit.census(5)
+    verify.run_suite("iss", 5)
+    used = {name for name, (use, _) in _containers().items() if use != before.get(name, (None,))[0]}
+    assert {"_kernels.run_canon", "iso._CLASS_SCANS", "iss._EDGE_VERDICTS"} <= used
+    _kernels.clear_caches()
+    after = _containers()
+    assert {name: after[name][1] for name in used - STATIC_TABLES if after[name][1]} == {}
 
 
 def test_two_cell_witness_needs_both_children():
@@ -314,7 +359,7 @@ def test_nonisomorphic_graphs_seven_pinned(batch_max_order):
     # from them.  The oracle grows order 7 again, searching the children of
     # orders past batch_max_order one at a time instead of in batches, and
     # must reach the same digest.
-    _generated.cache_clear()
+    _generated.cache_clear()  # the static generation table, which clear_caches() keeps
     text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
     assert hashlib.sha256(text.encode()).hexdigest() == SEVEN_SHA256
     reps = [Graph(1, (0,))]
@@ -345,7 +390,7 @@ def test_generation_grows_each_order_once(monkeypatch):
         return real(graphs, k)
 
     monkeypatch.setattr(iso, "_child_codes", counting)
-    _generated.cache_clear()
+    _generated.cache_clear()  # the static generation table, which clear_caches() keeps
     nonisomorphic_graphs(5)
     text = "\n".join(to_graph6(g) for g in nonisomorphic_graphs(7))
     assert hashlib.sha256(text.encode()).hexdigest() == SEVEN_SHA256

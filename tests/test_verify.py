@@ -233,9 +233,8 @@ def test_suites_search_each_graph_once(monkeypatch):
         return real(rows, n)
 
     monkeypatch.setattr(_kernels, "_canon", counting)
-    iso._CLASS_SCANS.clear()
-    iso._generated.cache_clear()
-    _kernels.run_canon.cache_clear()
+    _kernels.clear_caches()
+    iso._generated.cache_clear()  # generation's searches count too; clear_caches() keeps that static table
     for suite in (verify.suite_iss, verify.suite_edge_iss, verify.suite_classes):
         assert suite(5).ok
     assert searched and max(searched.values()) == 1
@@ -278,8 +277,7 @@ def test_edge_suite_decides_each_edge_once(monkeypatch):
 
 def _counted_scans(monkeypatch):
     # the orders of the switch-orbit scans from here on, with both caches cold
-    iso._CLASS_SCANS.clear()
-    _kernels.run_canon.cache_clear()
+    _kernels.clear_caches()
     real = _kernels.switch_orbit_scan
     calls = []
 
